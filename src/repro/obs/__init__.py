@@ -50,11 +50,11 @@ from repro.obs.metrics import (
     fleet_metrics_from_events,
     format_metrics,
     merge_snapshots,
+    nearest_rank,
     snapshot_percentile,
 )
 from repro.obs.snapshot import (
     ClusterSnapshot,
-    DaemonSnapshot,
     LeaseSnapshot,
     ServiceSnapshot,
     StoreSnapshot,
@@ -89,9 +89,9 @@ __all__ = [
     "MetricsRegistry",
     "format_metrics",
     "merge_snapshots",
+    "nearest_rank",
     "snapshot_percentile",
     "ClusterSnapshot",
-    "DaemonSnapshot",
     "LeaseSnapshot",
     "ServiceSnapshot",
     "StoreSnapshot",

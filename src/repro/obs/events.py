@@ -25,7 +25,7 @@ flat layout above, byte-identical::
         s00/log.jsonl                    # shard-0 stream (own rotation)
         s01/log.jsonl                    # ...
 
-A cluster worker appends to its home shard; any other writer (daemon,
+A cluster worker appends to its home shard; any other writer (gateway,
 clients) picks a stable shard by hashing its writer name.  The flat
 stream remains a legitimate member of the set — it holds everything
 written before the migration, the ``resharded`` record itself, and

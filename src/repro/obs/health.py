@@ -9,8 +9,9 @@ percentiles and reclaim/steal rates, and the fleet gets the worst-worker
 rollup.
 
 Worker state machine — driven entirely by the heartbeat, with the same
-staleness bound reclaim uses (``worker_is_alive``), so health can never
-call a worker dead that reclaim would still respect::
+staleness bound reclaim uses (``heartbeat_is_fresh`` with
+``WORKER_STALE_SECONDS``), so health can never call a worker dead that
+reclaim would still respect::
 
     stopped   heartbeat marked stopped=True (clean shutdown)
     ok        age <= 0.5 * bound
@@ -42,6 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.events import iter_events
+from repro.obs.metrics import nearest_rank
 
 #: Worker states, best to worst (the fleet verdict is the worst present).
 STATE_OK = "ok"
@@ -140,8 +142,8 @@ def classify_worker(heartbeat: Dict[str, object], now: Optional[float] = None) -
     age = max(0.0, now - float(heartbeat.get("updated_at", 0.0)))
     if heartbeat.get("stopped"):
         return STATE_STOPPED, age
-    # Same bound worker_is_alive uses, looked up lazily to keep this module
-    # importable below the service layer.
+    # Same bound reclaim's liveness check uses, looked up lazily to keep
+    # this module importable below the service layer.
     from repro.service.cluster import WORKER_STALE_SECONDS
 
     bound = max(WORKER_STALE_SECONDS, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
@@ -152,11 +154,6 @@ def classify_worker(heartbeat: Dict[str, object], now: Optional[float] = None) -
     if age <= 3.0 * bound:
         return STATE_STALLED, age
     return STATE_DEAD, age
-
-
-def _sorted_percentile(values: List[float], fraction: float) -> float:
-    index = min(len(values) - 1, max(0, int(fraction * len(values))))
-    return round(values[index], 6)
 
 
 def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) -> FleetHealth:
@@ -244,10 +241,9 @@ def collect_fleet_health(root: Union[str, Path], now: Optional[float] = None) ->
         else:
             health.shards[shard_name].queued += 1
     for shard_name, values in latencies.items():
-        values.sort()
         shard = health.shards[shard_name]
-        shard.claim_latency_p50 = _sorted_percentile(values, 0.50)
-        shard.claim_latency_p95 = _sorted_percentile(values, 0.95)
+        shard.claim_latency_p50 = round(nearest_rank(values, 0.50), 6)
+        shard.claim_latency_p95 = round(nearest_rank(values, 0.95), 6)
     if flow:
         # Trend = net queue movement over the newest half of the window.
         flow.sort(key=lambda entry: entry[0])

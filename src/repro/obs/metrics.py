@@ -1,7 +1,7 @@
 """Process-local counters, gauges and solve-latency histograms.
 
 A :class:`MetricsRegistry` is a cheap, dependency-free bag of named
-instruments owned by one daemon or cluster worker:
+instruments owned by one worker or gateway process:
 
 * :class:`Counter` — monotonically increasing totals (jobs released,
   leases reclaimed);
@@ -21,11 +21,13 @@ registries compose into a cluster view without shared memory.  Histogram
 snapshots carry raw bucket counts, so merged percentiles stay well-defined.
 
 Thread-safe throughout (one lock per registry); all operations are O(1)
-per observation.
+per observation.  Raw samples (loadgen latencies, claim latencies) use
+:func:`nearest_rank` instead of a histogram.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -272,6 +274,21 @@ def snapshot_percentile(record: Dict[str, object], fraction: float) -> Optional[
     return _bucket_percentile(bounds, counts, int(record["count"]), fraction)
 
 
+def nearest_rank(values: Iterable[float], fraction: float) -> Optional[float]:
+    """Nearest-rank percentile of a raw sample (``None`` on an empty one).
+
+    The sample's ``ceil(fraction * n)``-th smallest value, clamped to the
+    sample: p50 of 4 values is the 2nd, p90 of 20 is the 18th.  The tiny
+    epsilon keeps float products such as ``0.07 * 100`` from rounding up
+    to the next rank.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return None
+    rank = math.ceil(fraction * len(ordered) - 1e-9)
+    return ordered[min(len(ordered), max(1, rank)) - 1]
+
+
 def format_metrics(snapshot: Dict[str, Dict[str, object]]) -> str:
     """Human-readable rendering of a (possibly merged) snapshot."""
     if not snapshot:
@@ -307,5 +324,6 @@ __all__ = [
     "merge_snapshots",
     "fleet_metrics_from_events",
     "snapshot_percentile",
+    "nearest_rank",
     "format_metrics",
 ]

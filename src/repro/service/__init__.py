@@ -8,19 +8,20 @@ backends) builds on:
 * :mod:`repro.service.store` — :class:`ResultStore`, a disk-backed,
   content-addressed store of solved panel layouts that plugs in as the
   persistent second tier under :class:`repro.engine.cache.SolutionCache`;
-* :mod:`repro.service.queue` — :class:`Job` / :class:`JobQueue`, a
-  thread-safe priority queue with cancellation;
+* :mod:`repro.service.queue` — :class:`Job`, the job record and its
+  lifecycle statuses;
 * :mod:`repro.service.scheduler` — :class:`Scheduler`, which batches
-  compatible panel tasks of each job and dispatches them over any
-  :class:`~repro.engine.backends.ExecutionBackend`, with retries;
+  compatible panel tasks of one claimed job and dispatches them over any
+  :class:`~repro.engine.backends.ExecutionBackend`;
 * :mod:`repro.service.scenarios` — the scenario registry generating diverse
   synthetic workloads far beyond the paper's three tables;
-* :mod:`repro.service.daemon` — the long-running service process behind the
-  ``repro serve`` / ``submit`` / ``status`` / ``gc`` CLI verbs, with a
-  file-based job spool so submitters never need a network connection;
-* :mod:`repro.service.cluster` — the multi-worker layer on the same spool:
-  atomic lease-based claiming, per-worker heartbeats, crash reclaim, the
-  ``repro serve --workers K`` local fleet supervisor and the
+* :mod:`repro.service.spool` — the file-based job spool behind the
+  ``repro submit`` / ``status`` / ``cancel`` / ``gc`` CLI verbs, so
+  submitters never need a network connection;
+* :mod:`repro.service.cluster` — the one worker loop on that spool:
+  atomic lease-based claiming, per-worker heartbeats, crash reclaim.
+  ``repro serve`` runs one :class:`ClusterWorker` in-process, ``repro serve
+  --workers K`` a supervised local fleet of them; the module also holds the
   ``repro loadgen`` burst harness;
 * :mod:`repro.service.sharding` — the spool partitioning layer under both:
   :class:`SpoolLayout` maps job ids to hash-keyed shards (``--shards N``),
@@ -49,17 +50,6 @@ from repro.service.cluster import (
     WorkerIdentity,
     run_loadgen,
 )
-from repro.service.daemon import (
-    ServiceConfig,
-    ServiceDaemon,
-    SubmitRequest,
-    gc_service,
-    request_cancel,
-    service_status,
-    submit_job,
-    submit_jobs,
-    wait_for_job,
-)
 from repro.service.gateway import (
     Gateway,
     GatewayConfig,
@@ -68,7 +58,7 @@ from repro.service.gateway import (
     run_gateway,
     run_http_loadgen,
 )
-from repro.service.queue import JOB_STATUSES, Job, JobQueue
+from repro.service.queue import JOB_STATUSES, Job
 from repro.service.scenarios import (
     SCENARIO_NAMES,
     FlowScenarioSpec,
@@ -90,6 +80,15 @@ from repro.service.sharding import (
     read_layout,
     shard_index,
 )
+from repro.service.spool import (
+    SubmitRequest,
+    gc_service,
+    request_cancel,
+    service_status,
+    submit_job,
+    submit_jobs,
+    wait_for_job,
+)
 from repro.service.store import ResultStore, StoreStats, read_cumulative_store_stats
 
 __all__ = [
@@ -105,7 +104,6 @@ __all__ = [
     "WorkerIdentity",
     "run_loadgen",
     "Job",
-    "JobQueue",
     "JOB_STATUSES",
     "Scheduler",
     "JobOutcome",
@@ -126,8 +124,6 @@ __all__ = [
     "ensure_layout",
     "migrate_layout",
     "adopt_stray_records",
-    "ServiceConfig",
-    "ServiceDaemon",
     "SubmitRequest",
     "submit_job",
     "submit_jobs",

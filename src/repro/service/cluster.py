@@ -1,10 +1,10 @@
-"""Multi-worker service cluster over the shared file spool.
+"""The service's one worker loop: lease-claiming workers over the file spool.
 
-The :class:`~repro.service.daemon.ServiceDaemon` from the single-process
-service layer drains the whole spool from one loop, so throughput is capped
-at one worker.  This module turns the same on-disk spool into shared cluster
-state — N cooperating worker processes, no new dependencies, no network —
-by adding two directories next to ``jobs/``::
+Every ``repro serve`` process is a :class:`ClusterWorker`: a plain
+``repro serve`` runs one in-process, ``repro serve --workers K`` supervises
+K of them as subprocesses.  The on-disk spool (:mod:`repro.service.spool`)
+is the shared state — N cooperating workers, no new dependencies, no
+network — with two directories next to ``jobs/``::
 
     <root>/
         jobs/<job_id>.json                  # queued + terminal records (unchanged)
@@ -45,8 +45,9 @@ peer picks it up.  See DESIGN.md §"Cluster layer" for the full lease
 state machine.
 
 :class:`ClusterSupervisor` runs the local fleet behind ``repro serve
---workers K``: it spawns K worker processes over one root, restarts workers
-that die, and exits once the spool has been idle long enough.
+--workers K``: it spawns K ``repro serve`` worker processes over one root,
+restarts workers that die, and exits once the spool has been idle long
+enough.
 :func:`run_loadgen` (the ``repro loadgen`` verb) submits a seed-striped
 burst of scenario jobs and reports aggregate latency percentiles and
 throughput — the measurement harness of
@@ -73,12 +74,11 @@ from repro.engine.cache import SolutionCache
 from repro.engine.panels import Engine
 from repro.obs.aggregate import MergedEventCursor
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry, fleet_metrics_from_events, process_registry
-from repro.service.daemon import (
-    STALE_HEARTBEAT_SECONDS,
-    _round_latency,
-    heartbeat_is_fresh,
-    submit_job,
+from repro.obs.metrics import (
+    MetricsRegistry,
+    fleet_metrics_from_events,
+    nearest_rank,
+    process_registry,
 )
 from repro.service.queue import TERMINAL_STATUSES, Job
 from repro.service.scheduler import Scheduler
@@ -90,11 +90,11 @@ from repro.service.sharding import (
     ensure_layout,
     read_layout,
 )
+from repro.service.spool import submit_job
 from repro.service.store import ResultStore, atomic_write_text
 
-#: Worker heartbeats older than this are stale (scaled by the poll interval,
-#: exactly like the daemon's threshold, but tighter: a cluster wants crashed
-#: peers detected — and their leases reclaimed — promptly).
+#: Staleness floor of worker heartbeats (scaled up by slow poll intervals):
+#: crashed peers are detected — and their leases reclaimed — promptly.
 WORKER_STALE_SECONDS = 5.0
 
 #: Default seconds a lease stays valid without a refresh.
@@ -105,18 +105,20 @@ def _workers_dir(root: Path) -> Path:
     return root / "workers"
 
 
-def worker_is_alive(heartbeat: Dict[str, object]) -> bool:
-    """Whether a worker heartbeat indicates a live process.
+def heartbeat_is_fresh(heartbeat: Dict[str, object], floor_seconds: float) -> bool:
+    """Whether a heartbeat file indicates a live process.
 
-    Same contract as :func:`~repro.service.daemon.heartbeat_is_fresh`
-    (a ``stopped`` heartbeat is never alive; the age threshold scales with
-    the poll interval) but with the tighter cluster staleness bound — the
-    single definition both ``status --cluster`` and lease reclaim use.
+    The single definition of liveness — lease reclaim, ``status``, ``gc``,
+    resharding and the gateway section all use it.  A ``stopped`` heartbeat
+    is never fresh; otherwise its age must stay below ``floor_seconds``
+    (:data:`WORKER_STALE_SECONDS` for workers) or three of the writer's
+    poll intervals, whichever is longer, so slow pollers are not declared
+    dead between beats.
     """
     if heartbeat.get("stopped"):
         return False
     age = time.time() - float(heartbeat.get("updated_at", 0.0))
-    return age < max(WORKER_STALE_SECONDS, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
+    return age < max(floor_seconds, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
 
 
 def read_worker_heartbeats(root: Union[str, Path]) -> Dict[str, Dict[str, object]]:
@@ -303,12 +305,13 @@ class LeaseManager:
         except OSError:
             return False  # stolen between the write and the rename
         if self.events is not None:
+            latency = job.latency_seconds()
             self.events.emit(
                 "released",
                 job=job.job_id,
                 worker=self.identity.worker_id,
                 status=job.status,
-                latency=_round_latency(job.latency_seconds()),
+                latency=None if latency is None else round(latency, 6),
                 shard=self.layout.shard_tag(job.job_id),
             )
         return True
@@ -350,9 +353,11 @@ class LeaseManager:
             if now < mtime + ttl:
                 continue  # still within its TTL
             owner_heartbeat = heartbeats.get(owner)
-            if owner_heartbeat is not None and worker_is_alive(owner_heartbeat):
+            if owner_heartbeat is not None and heartbeat_is_fresh(
+                owner_heartbeat, WORKER_STALE_SECONDS
+            ):
                 continue  # owner is alive, merely slow; never steal
-            if self._reclaim_one(lease_path, shard):
+            if self.reclaim(lease_path, shard):
                 reclaimed += 1
         return reclaimed
 
@@ -379,8 +384,16 @@ class LeaseManager:
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             return self.lease_ttl
 
-    def _reclaim_one(self, lease_path: Path, shard: int = 0) -> bool:
-        """Atomically steal one expired lease and resolve its job."""
+    def reclaim(self, lease_path: Path, shard: int = 0) -> bool:
+        """Atomically steal one abandoned record and resolve its job.
+
+        ``lease_path`` is an expired lease, or a ``running`` spool record
+        that no lease covers (left by a process that crashed before the
+        service claimed through leases).  Either way the rules are the same:
+        terminal stays terminal, a requested cancel ends ``cancelled``, a
+        spent retry budget ends ``failed``, and anything else is re-queued
+        with its attempt count preserved.
+        """
         # The `.reclaim` suffix keeps the stolen file out of `*.json` scans;
         # the temp lives in this worker's directory *of the job's shard* so
         # a crash strands it where a migration would route it anyway.
@@ -397,6 +410,8 @@ class LeaseManager:
         except (OSError, json.JSONDecodeError, KeyError, ValueError, AttributeError):
             job = None
         worker = payload.get("worker_id") if isinstance(payload, dict) else None
+        if worker is None and job is not None and job.executions:
+            worker = job.executions[-1].get("worker")  # a bare running record
         resolved = False
         if job is not None and not self._job_path(job.job_id).exists():
             # (A spool record already present means the owner's release
@@ -547,9 +562,9 @@ class WorkerConfig:
 class ClusterWorker:
     """One lease-claiming worker process over a shared spool.
 
-    Unlike the single-process daemon there is no in-memory queue to drain:
-    every cycle re-scans the spool for ``queued`` records (priority order,
-    deterministic ties) and races its peers for the first claimable one.
+    There is no in-memory queue to drain: every cycle re-scans the spool
+    for ``queued`` records (priority order, deterministic ties) and races
+    its peers for the first claimable one.
     Execution reuses the scheduler's batch loop, with the between-batch
     hook refreshing the lease and heartbeat and honouring cancel markers —
     so a long job neither loses its lease nor goes deaf to ``repro
@@ -579,10 +594,8 @@ class ClusterWorker:
             cache=SolutionCache(store=self.store),
         )
         self.scheduler = Scheduler(
-            queue=None,
             engine=self.engine,
             on_batch=self._on_batch,
-            worker_id=self.identity.worker_id,
             metrics=self.metrics,
             events=self.events,
         )
@@ -603,10 +616,10 @@ class ClusterWorker:
         # a disowned outcome is discarded and must not consume --max-jobs.
         self._last_owned = True
         # Terminal spool records already seen, keyed by record mtime, so an
-        # idle worker's candidate scan never re-parses spool history (same
-        # scheme as the daemon's `_spool_done`); a rewritten file (id reuse
-        # after a purge) no longer matches its mtime and is re-read.  One
-        # memo per shard — each shard directory is scanned independently.
+        # idle worker's candidate scan never re-parses spool history; a
+        # rewritten file (id reuse after a purge) no longer matches its
+        # mtime and is re-read.  One memo per shard — each shard directory
+        # is scanned independently.
         self._known_terminal: Dict[int, Dict[str, int]] = {
             shard: {} for shard in range(self.layout.shards)
         }
@@ -779,7 +792,7 @@ class ClusterWorker:
     # -- heartbeat ------------------------------------------------------------------
 
     def _heartbeat(self, stopped: bool = False, force: bool = False) -> None:
-        """Write the worker's liveness file (throttled, like the daemon's)."""
+        """Write the worker's liveness file (throttled to the poll interval)."""
         now = time.time()
         if not force and now - self._last_heartbeat < min(1.0, self.config.poll_interval):
             return
@@ -859,13 +872,31 @@ class ClusterWorker:
     def _spool_has_queued_work(self) -> bool:
         return bool(self._queued_candidates())
 
+    def _settle_unleased_running(self) -> None:
+        """Resolve ``running`` spool records that no lease covers.
+
+        Workers keep a running job under their lease, never in ``jobs/``;
+        such a record is left by a process that crashed before the service
+        claimed through leases, and no worker would ever claim it.  It is
+        reclaimed with the expired-lease rules.
+        """
+        for shard in range(self.layout.shards):
+            records, _terminal, _unreadable = scan_spool_records(
+                self.layout.jobs_dir(shard), self._known_terminal[shard]
+            )
+            for record in records:
+                if record.get("status") == "running":
+                    path = self.layout.job_path(str(record["job_id"]))
+                    self.jobs_reclaimed += self.lease.reclaim(path, shard)
+
     def run(self, max_jobs: Optional[int] = None, idle_exit: Optional[float] = None) -> int:
         """Serve until ``max_jobs`` terminal outcomes or idle too long.
 
-        Same contract as the daemon's loop: retries released back to the
-        spool do not count as finished work; the idle deadline re-checks
-        the spool one final time before exiting, so a submission landing
-        during the last poll sleep is served, not stranded.
+        Retries released back to the spool do not count as finished work;
+        the idle deadline re-checks the spool one final time before
+        exiting, so a submission landing during the last poll sleep is
+        served, not stranded.  Abandoned ``running`` records are settled
+        once, at startup (:meth:`_settle_unleased_running`).
         """
         self._install_signal_handler()
         self.events.emit(
@@ -876,6 +907,7 @@ class ClusterWorker:
                 self.layout.shard_name(self.home_shard) if self.layout.sharded else None
             ),
         )
+        self._settle_unleased_running()
         self._heartbeat(force=True)
         self._pulse_stop.clear()
         self._pulse_thread = threading.Thread(
@@ -912,7 +944,7 @@ class ClusterWorker:
         return finished
 
     def _install_signal_handler(self) -> None:
-        """Exit cleanly on SIGTERM (the supervisor's shutdown signal).
+        """Exit cleanly on SIGTERM (``kill`` or the supervisor's shutdown).
 
         Only possible from the main thread of a worker process; in-process
         workers driven from test threads simply skip it.
@@ -956,7 +988,7 @@ class ClusterConfig:
 class ClusterSupervisor:
     """Spawn, monitor and restart a local fleet of worker processes.
 
-    Workers are real OS processes (``repro serve --cluster-worker``), so a
+    Workers are real OS processes (each one a plain ``repro serve``), so a
     fleet scales across cores and a crash takes down one worker, never the
     cluster: the supervisor respawns dead workers (bounded by
     ``max_restarts``) and surviving peers reclaim the dead worker's leases
@@ -974,7 +1006,7 @@ class ClusterSupervisor:
         self._terminated = False
         self._procs: Dict[int, subprocess.Popen] = {}
         # Terminal records already counted, keyed by mtime (the workers'
-        # and daemon's scheme): the ~10 Hz monitor loop must not re-parse a
+        # scheme): the ~10 Hz monitor loop must not re-parse a
         # reused root's entire history every tick.  One memo per shard.
         self._terminal_seen: Dict[int, Dict[str, int]] = {
             shard: {} for shard in range(self.layout.shards)
@@ -994,7 +1026,6 @@ class ClusterSupervisor:
             "serve",
             "--root",
             str(config.root),
-            "--cluster-worker",
             "--worker-label",
             f"w{slot}",
             "--poll",
@@ -1047,7 +1078,11 @@ class ClusterSupervisor:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             heartbeats = read_worker_heartbeats(self.config.root)
-            fresh = sum(1 for heartbeat in heartbeats.values() if worker_is_alive(heartbeat))
+            fresh = sum(
+                1
+                for heartbeat in heartbeats.values()
+                if heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS)
+            )
             if fresh >= self.config.workers:
                 return True
             time.sleep(0.05)
@@ -1100,7 +1135,7 @@ class ClusterSupervisor:
 
         Terminal records already in the spool when the run starts (a reused
         root's history) are excluded from both the ``max_jobs`` budget and
-        the returned count, matching the single daemon's finished-this-run
+        the returned count, matching a single worker's finished-this-run
         semantics.  ``idle_exit=None`` with ``max_jobs=None`` supervises
         forever (until SIGINT/SIGTERM reaches the supervisor process).
         """
@@ -1149,15 +1184,6 @@ class ClusterSupervisor:
 # -- load generation -------------------------------------------------------------------
 
 
-def _nearest_rank(values: List[float], fraction: float) -> Optional[float]:
-    """Nearest-rank percentile of a sample (``None`` on an empty one)."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-    return ordered[rank]
-
-
 @dataclass
 class LoadgenReport:
     """Aggregate outcome of one submitted burst (JSON-safe via ``to_dict``).
@@ -1189,7 +1215,7 @@ class LoadgenReport:
 
     def latency_percentile(self, fraction: float) -> Optional[float]:
         """Nearest-rank latency percentile over the finished jobs."""
-        return _nearest_rank(self.latencies, fraction)
+        return nearest_rank(self.latencies, fraction)
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -1370,9 +1396,9 @@ def _loadgen_spool_check(root: Path, submitted: List[Job]) -> Dict[str, object]:
             latencies.append(latency)
     return {
         **counts,
-        "latency_p50": _nearest_rank(latencies, 0.50),
-        "latency_p90": _nearest_rank(latencies, 0.90),
-        "latency_p99": _nearest_rank(latencies, 0.99),
+        "latency_p50": nearest_rank(latencies, 0.50),
+        "latency_p90": nearest_rank(latencies, 0.90),
+        "latency_p99": nearest_rank(latencies, 0.99),
     }
 
 
@@ -1425,7 +1451,6 @@ def _fmt_latency(value: Optional[object]) -> str:
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "STALE_HEARTBEAT_SECONDS",
     "WORKER_STALE_SECONDS",
     "WorkerIdentity",
     "LeaseManager",
@@ -1438,6 +1463,5 @@ __all__ = [
     "format_loadgen_report",
     "active_leases",
     "read_worker_heartbeats",
-    "worker_is_alive",
     "heartbeat_is_fresh",
 ]

@@ -22,7 +22,7 @@ Admission pipeline for a ``POST /v1/jobs`` (policy classes live in
    batcher.  A full queue is the fleet saturated: ``429`` + Retry-After.
 4. **Micro-batch** — one background task drains the queue through a
    :class:`~repro.service.gateway.policy.MicroBatcher` and writes each
-   batch with one :func:`~repro.service.daemon.submit_jobs` call
+   batch with one :func:`~repro.service.spool.submit_jobs` call
    (flush-on-size or flush-on-deadline), so a concurrent burst costs one
    layout read + executor hop per batch instead of per job.  Only after
    the spool write lands does the client get its ``202`` with the job id
@@ -32,8 +32,8 @@ Everything the front door does is observable: ``gateway-started`` /
 ``gateway-admitted`` / ``gateway-rejected`` / ``gateway-stopped`` events
 in the shared event log, ``gateway.*`` counters/histograms riding
 ``metrics`` events (merged by ``repro metrics`` like any worker's), and
-a ``gateway.json`` heartbeat next to ``service.json`` that gives
-``repro status`` its gateway section.
+a ``gateway.json`` heartbeat at the root that gives ``repro status`` its
+gateway section.
 
 The server is stdlib-only (``asyncio`` + hand-rolled HTTP/1.1: request
 line, headers, Content-Length bodies, keep-alive) — deliberately not a
@@ -59,7 +59,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.obs.aggregate import MergedEventCursor
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.service.daemon import SubmitRequest, submit_jobs
+from repro.service.spool import SubmitRequest, submit_jobs
 from repro.service.queue import Job
 from repro.service.scenarios import scenario_spec
 from repro.service.sharding import read_layout

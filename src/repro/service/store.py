@@ -279,8 +279,8 @@ class ResultStore:
 
     Implements the duck-typed store protocol :class:`SolutionCache` expects —
     :meth:`get_layout` / :meth:`put_layout` — plus the maintenance surface
-    (:meth:`gc`, :meth:`total_bytes`, :meth:`signatures`) the service daemon
-    and the ``repro gc`` verb use.
+    (:meth:`gc`, :meth:`total_bytes`, :meth:`signatures`) the service
+    workers and the ``repro gc`` verb use.
 
     Parameters
     ----------
@@ -530,11 +530,9 @@ class ResultStore:
     def disk_usage(self) -> Tuple[int, int]:
         """(entry count, total bytes) in one unsorted directory walk.
 
-        The daemon heartbeat reports both every cycle; computing them
-        together halves the I/O of the separate ``len`` / ``total_bytes``
-        calls on large stores.  On a capped store the walk doubles as a
-        full resync of the per-bucket byte account, so estimate drift
-        never outlives one heartbeat cycle.
+        Computing both together halves the I/O of the separate ``len`` /
+        ``total_bytes`` calls on large stores.  On a capped store the walk
+        doubles as a full resync of the per-bucket byte account.
         """
         blobs = self.root / "blobs"
         if self._bucket_bytes is None:
@@ -658,7 +656,7 @@ class ResultStore:
         """Flush this session's counters to ``stats/<session>.json`` (atomic).
 
         Each store instance owns one session file and rewrites it in place,
-        so the N daemons and workers sharing a store each persist their own
+        so the N workers sharing a store each persist their own
         traffic and :func:`read_cumulative_store_stats` can sum lifetime
         totals across processes — including ones that have since exited.
         The service layer calls this on forced heartbeats (job completions

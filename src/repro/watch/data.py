@@ -10,7 +10,7 @@ cancel/requeue keyboard actions — has plain synchronous tests that run
 in the core (textual-less) install.
 
 Operator actions reuse existing service primitives: ``cancel`` goes
-through :func:`repro.service.daemon.request_cancel` (the same marker file
+through :func:`repro.service.spool.request_cancel` (the same marker file
 ``repro cancel`` writes), and ``requeue`` flips a failed or cancelled
 spool record back to ``queued`` and appends a ``requeued`` event so the
 audit trail and status replay both see it.
@@ -135,7 +135,7 @@ def job_audit(root: Union[str, Path], job_id: str) -> List[str]:
 
 def cancel_job(root: Union[str, Path], job_id: str) -> bool:
     """Request cancellation (same marker ``repro cancel`` writes)."""
-    from repro.service.daemon import request_cancel
+    from repro.service.spool import request_cancel
 
     return request_cancel(root, job_id)
 

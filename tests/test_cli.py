@@ -85,7 +85,7 @@ class TestParser:
             ["serve", "--root", root, "--workers", "3", "--lease-ttl", "5"]
         )
         assert args.workers == 3 and args.lease_ttl == pytest.approx(5.0)
-        assert args.cluster_worker is False and args.backend_workers is None
+        assert args.backend_workers is None and args.worker_label == "worker"
         args = build_parser().parse_args(["status", "--root", root, "--cluster"])
         assert args.cluster is True
         args = build_parser().parse_args(
@@ -220,7 +220,7 @@ class TestServiceCommands:
              "--wait", "0.3"]
         )
         assert exit_code == 1
-        assert "is a daemon serving" in capsys.readouterr().out
+        assert "is a worker serving" in capsys.readouterr().out
 
     def test_serve_submit_status_gc_loop(self, tmp_path, capsys):
         root = str(tmp_path / "svc")
@@ -229,26 +229,67 @@ class TestServiceCommands:
         job_id = submitted.split()[1]
         assert main(["serve", "--root", root, "--max-jobs", "1", "--idle-exit", "0.1",
                      "--poll", "0.05"]) == 0
-        assert "served 1 job(s)" in capsys.readouterr().out
-        assert main(["status", "--root", root]) == 0
+        served = capsys.readouterr().out
+        assert "served 1 job(s)" in served
+        worker_id = served.split()[1]  # "worker <id> serving <root> ..."
+        assert main(["status", "--root", root, "--cluster"]) == 0
         status = capsys.readouterr().out
         assert job_id in status and "1 done" in status
         assert "cache totals:" in status and "store:" in status
-        assert "daemon: not running" in status  # clean exit, despite fresh heartbeat
-        # An in-flight heartbeat (stopped not yet set) reads as a live daemon.
-        heartbeat_path = Path(root) / "service.json"
+        # Clean exit, despite a fresh heartbeat: the worker reads as stopped.
+        assert "workers: 0 alive of 1" in status
+        assert "cluster: 1 workers (0 alive), 1 done" in status
+        assert f"{worker_id:24s} stopped" in status
+        # An in-flight heartbeat (stopped not yet set) reads as a live worker.
+        heartbeat_path = Path(root) / "workers" / f"{worker_id}.json"
         heartbeat = json.loads(heartbeat_path.read_text())
         heartbeat["stopped"] = False
         heartbeat["updated_at"] = time.time()
         heartbeat_path.write_text(json.dumps(heartbeat))
-        assert main(["status", "--root", root]) == 0
+        assert main(["status", "--root", root, "--cluster"]) == 0
         status = capsys.readouterr().out
-        assert "daemon: running" in status and "daemon cache:" in status
+        assert "workers: 1 alive of 1" in status and f"{worker_id:24s} alive" in status
         assert main(["status", "--root", root, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert "daemon" not in report
         assert report["jobs"]["counts"] == {"done": 1}
         assert main(["gc", "--root", root, "--purge-jobs"]) == 0
         assert "purged 1 job(s)" in capsys.readouterr().out
+
+    def test_serve_stops_cleanly_on_sigterm(self, tmp_path):
+        """A plain serve is a worker: SIGTERM ends it with exit 0 and a
+        stopped heartbeat, even with no --max-jobs / --idle-exit bound."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        root = tmp_path / "svc"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--root", str(root), "--poll", "0.05"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not list((root / "workers").glob("*.json")):
+                assert time.monotonic() < deadline, "serve never wrote a heartbeat"
+                time.sleep(0.05)
+            process.send_signal(signal.SIGTERM)
+            output, _ = process.communicate(timeout=30.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, output
+        assert "served 0 job(s)" in output
+        [heartbeat] = [json.loads(p.read_text()) for p in (root / "workers").glob("*.json")]
+        assert heartbeat["stopped"] is True
 
     def test_cancel_command(self, tmp_path, capsys):
         root = str(tmp_path / "svc")

@@ -62,7 +62,7 @@ from repro.gsino.reference import (
     reference_run_id_no,
     reference_run_isino,
 )
-from repro.service import Job, JobQueue, ResultStore, Scheduler
+from repro.service import Job, ResultStore, Scheduler
 from repro.service.scenarios import (
     FlowScenarioSpec,
     generate_scenario,
@@ -560,35 +560,29 @@ class TestFlowScenarios:
 
     def test_flow_job_runs_and_reports(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        queue = JobQueue()
-        queue.submit(Job(job_id="flow-1", scenario="flow-gsino", params={"scale": SCALE}))
-        scheduler = Scheduler(queue, Engine(cache=SolutionCache(store=store)))
-        job = scheduler.run_once()
-        assert job.status == "done"
-        assert set(job.result["flows"]) == {"gsino"}
-        assert job.result["stages"]["executed"] == 5
-        assert job.result["panels"] > 0
+        job = Job(job_id="flow-1", scenario="flow-gsino", params={"scale": SCALE})
+        scheduler = Scheduler(Engine(cache=SolutionCache(store=store)))
+        result = scheduler.execute_job(job).to_dict()
+        assert set(result["flows"]) == {"gsino"}
+        assert result["stages"]["executed"] == 5
+        assert result["panels"] > 0
 
         # A repeated submission restores every stage from the store.
-        warm_queue = JobQueue()
-        warm_queue.submit(Job(job_id="flow-2", scenario="flow-gsino", params={"scale": SCALE}))
+        warm_job = Job(job_id="flow-2", scenario="flow-gsino", params={"scale": SCALE})
         warm = Scheduler(
-            warm_queue, Engine(cache=SolutionCache(store=ResultStore(tmp_path / "store")))
-        ).run_once()
-        assert warm.status == "done"
-        assert warm.result["stages"]["executed"] == 0
-        assert warm.result["stages"]["restored"] == 5
-        assert warm.result["flows"] == job.result["flows"]
+            Engine(cache=SolutionCache(store=ResultStore(tmp_path / "store")))
+        ).execute_job(warm_job).to_dict()
+        assert warm["stages"]["executed"] == 0
+        assert warm["stages"]["restored"] == 5
+        assert warm["flows"] == result["flows"]
 
     def test_flow_compare_job_shares_stages(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="cmp-1", scenario="flow-compare", params={"scale": SCALE}))
-        job = Scheduler(queue, Engine(cache=SolutionCache())).run_once()
-        assert job.status == "done"
-        assert set(job.result["flows"]) == set(FLOW_NAMES)
-        assert job.result["stages"]["executed"] == 10
-        assert job.result["stages"]["shared"] == 3
-        assert job.result["batches"] == 3
+        job = Job(job_id="cmp-1", scenario="flow-compare", params={"scale": SCALE})
+        result = Scheduler(Engine(cache=SolutionCache())).execute_job(job).to_dict()
+        assert set(result["flows"]) == set(FLOW_NAMES)
+        assert result["stages"]["executed"] == 10
+        assert result["stages"]["shared"] == 3
+        assert result["batches"] == 3
 
 
 class TestFlowsCli:

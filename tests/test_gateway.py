@@ -22,9 +22,9 @@ from repro.obs.aggregate import iter_merged_events
 from repro.obs.events import EventLog
 from repro.obs.snapshot import collect_gateway
 from repro.service import (
-    ServiceConfig,
-    ServiceDaemon,
+    ClusterWorker,
     SubmitRequest,
+    WorkerConfig,
     service_status,
     submit_job,
     submit_jobs,
@@ -39,7 +39,8 @@ from repro.service.gateway import (
     format_http_loadgen_report,
     run_http_loadgen,
 )
-from repro.service.gateway.loadgen import HttpLoadgenReport, _nearest_rank
+from repro.obs.metrics import nearest_rank
+from repro.service.gateway.loadgen import HttpLoadgenReport
 
 
 # -- token bucket ----------------------------------------------------------------------
@@ -486,7 +487,7 @@ class TestGatewayServer:
         try:
             _, _, payload = _request(runner.port, "POST", "/v1/jobs", {"scenario": "smoke"})
             job_id = payload["job_id"]
-            ServiceDaemon(ServiceConfig(root=tmp_path, poll_interval=0.01)).run(
+            ClusterWorker(WorkerConfig(root=tmp_path, poll_interval=0.01)).run(
                 max_jobs=1, idle_exit=30.0
             )
             connection = http.client.HTTPConnection("127.0.0.1", runner.port, timeout=30)
@@ -551,10 +552,13 @@ class TestGatewayServer:
 class TestHttpLoadgen:
     def test_nearest_rank_percentiles(self):
         values = [float(v) for v in range(1, 101)]
-        assert _nearest_rank(values, 0.50) == 50.0
-        assert _nearest_rank(values, 0.99) == 100.0
-        assert _nearest_rank(values, 1.0) == 100.0  # clamped to the max sample
-        assert _nearest_rank([], 0.5) is None
+        assert nearest_rank(values, 0.50) == 50.0
+        assert nearest_rank(values, 0.99) == 99.0
+        assert nearest_rank(values, 1.0) == 100.0  # the max sample
+        assert nearest_rank([], 0.5) is None
+        report = HttpLoadgenReport(url="http://x", scenario="smoke", clients=1)
+        report.submit_latencies = list(reversed(values))  # unsorted is fine
+        assert report.submit_percentile(0.99) == 99.0
 
     def test_report_dict_carries_submit_percentiles(self):
         report = HttpLoadgenReport(url="http://x", scenario="smoke", clients=2)
@@ -594,9 +598,9 @@ class TestHttpLoadgen:
 
     def test_wait_mode_polls_jobs_to_completion_over_http(self, tmp_path):
         runner = _gateway(tmp_path)
-        daemon = ServiceDaemon(ServiceConfig(root=tmp_path, poll_interval=0.02))
+        serve = ClusterWorker(WorkerConfig(root=tmp_path, poll_interval=0.02))
         worker = threading.Thread(
-            target=lambda: daemon.run(max_jobs=4, idle_exit=60.0), daemon=True
+            target=lambda: serve.run(max_jobs=4, idle_exit=60.0), daemon=True
         )
         worker.start()
         try:

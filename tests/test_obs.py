@@ -36,6 +36,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     format_metrics,
     merge_snapshots,
+    nearest_rank,
     snapshot_percentile,
 )
 from repro.obs.snapshot import (
@@ -47,8 +48,6 @@ from repro.obs.trace import Tracer, maybe_span
 from repro.service import (
     ClusterWorker,
     ResultStore,
-    ServiceConfig,
-    ServiceDaemon,
     WorkerConfig,
     read_cumulative_store_stats,
     run_loadgen,
@@ -305,6 +304,34 @@ class TestMetrics:
         with pytest.raises(ValueError):
             histogram.percentile(1.5)
 
+    @pytest.mark.parametrize(
+        "size, fraction, index",
+        [
+            (1, 0.0, 0),
+            (1, 0.5, 0),
+            (1, 0.99, 0),
+            (4, 0.25, 0),
+            (4, 0.5, 1),
+            (4, 0.9, 3),
+            (6, 0.1, 0),
+            (6, 0.5, 2),
+            (6, 0.9, 5),
+            (20, 0.05, 0),
+            (20, 0.5, 9),
+            (20, 0.9, 17),
+            (20, 0.95, 18),
+            (20, 0.99, 19),
+            (20, 1.0, 19),
+        ],
+    )
+    def test_nearest_rank_picks_the_ceil_rank(self, size, fraction, index):
+        ordered = [10.0 * position for position in range(size)]
+        shuffled = ordered[1::2] + ordered[::2]  # input order must not matter
+        assert nearest_rank(shuffled, fraction) == ordered[index]
+
+    def test_nearest_rank_of_an_empty_sample_is_none(self):
+        assert nearest_rank([], 0.5) is None
+
     def test_merge_sums_counters_gauges_and_histogram_buckets(self):
         first, second = MetricsRegistry(), MetricsRegistry()
         for registry in (first, second):
@@ -378,20 +405,21 @@ class TestSnapshots:
     def _settle_jobs(self, root):
         submit_job(root, "smoke")
         submit_job(root, "smoke", params={"seed": 9})
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=2, idle_exit=0.05) == 2
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=2, idle_exit=0.05) == 2
+        return worker
 
     def test_service_status_keeps_its_dict_shape(self, tmp_path):
         root = tmp_path / "svc"
-        self._settle_jobs(root)
+        worker = self._settle_jobs(root)
         report = service_status(root)
-        assert set(report) == {"root", "daemon", "jobs", "cache_totals", "store", "cluster"}
-        assert set(report["daemon"]) == {"alive", "heartbeat_age", "heartbeat"}
+        assert set(report) == {"root", "jobs", "cache_totals", "store", "cluster"}
         assert report["jobs"]["counts"] == {"done": 2}
         assert len(report["jobs"]["records"]) == 2
         assert report["cache_totals"]["misses"] > 0
         assert report["store"]["entries"] > 0
-        assert report["cluster"] is None
+        assert list(report["cluster"]["workers"]) == [worker.identity.worker_id]
+        assert report["cluster"]["leases"] == []
         snapshot = ServiceSnapshot.collect(root)
         assert snapshot.to_dict()["jobs"] == report["jobs"]
         json.dumps(report)  # stays JSON-serialisable end to end
@@ -412,8 +440,8 @@ class TestSnapshots:
     def test_daemon_emits_the_full_job_lifecycle(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=1, idle_exit=0.05) == 1
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         lifecycle = [r["event"] for r in read_events(root, job_id=job.job_id)]
         assert lifecycle == ["submitted", "claimed", "released"]
         released = read_events(root, job_id=job.job_id, event="released")[0]
@@ -471,8 +499,8 @@ class TestObsCli:
     def _settled_root(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=1, idle_exit=0.05) == 1
+        worker = ClusterWorker(WorkerConfig(root=root, poll_interval=0.01))
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         return root, job
 
     def test_events_verb_prints_human_lines(self, tmp_path, capsys):

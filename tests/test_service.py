@@ -1,9 +1,11 @@
-"""Tests for the repro.service layer (store, queue, scheduler, daemon, cluster).
+"""Tests for the repro.service layer (store, spool, scheduler, workers).
 
 The warm-start tests enforce the subsystem's headline guarantee: a second
 run over the same workload with the persistent store enabled performs
 *zero* redundant panel solves — in-process with a fresh cache, across
-daemon restarts, and across real CLI processes.  The cluster tests at the
+serve restarts, and across real CLI processes.  The single-serve tests
+drive one in-process :class:`ClusterWorker`, which is what a plain
+``repro serve`` runs; the cluster tests at the
 bottom enforce the multi-worker guarantees: exactly-one claim winner under
 contention, lease-expiry reclaim from dead workers only, and supervisor
 restart of crashed fleet members.
@@ -25,14 +27,12 @@ from repro.engine import CacheStats, Engine, SolutionCache
 from repro.engine.signature import SIGNATURE_VERSION
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows
+from repro.obs.events import read_events
 from repro.service import (
     SCENARIO_NAMES,
     Job,
-    JobQueue,
     ResultStore,
     Scheduler,
-    ServiceConfig,
-    ServiceDaemon,
     batch_compatible,
     gc_service,
     generate_scenario,
@@ -52,15 +52,38 @@ from repro.service import (
     run_loadgen,
 )
 from repro.service.cluster import (
+    WORKER_STALE_SECONDS,
     active_leases,
+    heartbeat_is_fresh,
     read_worker_heartbeats,
-    worker_is_alive,
 )
 from repro.service.store import FORMAT_VERSION, evict_scanned_blobs, scan_blobs
 
 
 def _smoke_tasks():
     return generate_scenario("smoke")
+
+
+def _serve(root, **overrides) -> ClusterWorker:
+    """What a plain ``repro serve`` runs: one in-process lease worker."""
+    config = dict(root=root, poll_interval=0.01, lease_ttl=5.0)
+    config.update(overrides)
+    return ClusterWorker(WorkerConfig(**config))
+
+
+def _worker_alive(heartbeat) -> bool:
+    return heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS)
+
+
+def _write_running_record(root, job, **fields) -> Path:
+    """Leave ``job`` the way a serve that crashed mid-job before leases did:
+    a ``running`` record in ``jobs/`` that no lease covers."""
+    path = root / "jobs" / f"{job.job_id}.json"
+    record = json.loads(path.read_text())
+    record.update({"status": "running", "attempts": 1, **fields})
+    record["executions"] = [{"worker": "local", "attempt": record["attempts"], "claimed_at": 0.0}]
+    path.write_text(json.dumps(record))
+    return path
 
 
 # -- ResultStore ---------------------------------------------------------------------
@@ -236,71 +259,74 @@ class TestTieredCache:
         assert "from disk" not in str(CacheStats(hits=2, misses=1))
 
 
-# -- queue ---------------------------------------------------------------------------
+# -- queue: the spool, as one worker serves it ---------------------------------------
 
 
 class TestJobQueue:
-    def test_priority_order_with_fifo_ties(self):
-        queue = JobQueue()
+    """The spool is the job queue: priority order, cancellation, retries."""
+
+    def test_priority_order_with_fifo_ties(self, tmp_path):
+        root = tmp_path / "svc"
         for job_id, priority in (("a", 0), ("b", 5), ("c", 5), ("d", 1)):
-            queue.submit(Job(job_id=job_id, scenario="smoke", priority=priority))
-        assert [queue.pop().job_id for _ in range(4)] == ["b", "c", "d", "a"]
-        assert queue.pop() is None
+            submit_job(root, "smoke", job_id=job_id, priority=priority)
+        worker = _serve(root)
+        assert [worker.step().job_id for _ in range(4)] == ["b", "c", "d", "a"]
+        assert worker.step() is None
 
-    def test_cancel_queued_job_never_runs(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="x", scenario="smoke"))
-        queue.submit(Job(job_id="y", scenario="smoke"))
-        assert queue.cancel("x") is True
-        assert queue.get("x").status == "cancelled"
-        assert queue.pop().job_id == "y"
-        assert queue.pop() is None
+    def test_cancel_queued_job_never_runs(self, tmp_path):
+        root = tmp_path / "svc"
+        submit_job(root, "smoke", job_id="x")
+        submit_job(root, "smoke", job_id="y")
+        assert request_cancel(root, "x") is True
+        worker = _serve(root)
+        cancelled = worker.step()
+        assert (cancelled.job_id, cancelled.status, cancelled.result) == ("x", "cancelled", None)
+        assert worker.step().job_id == "y"
+        assert worker.step() is None
 
-    def test_cancel_running_job_sets_flag(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="x", scenario="smoke"))
-        job = queue.pop()
-        assert queue.cancel("x") is True
-        assert job.status == "running" and job.cancel_requested
-        queue.finish(job)
-        assert job.status == "cancelled"
-        assert queue.cancel("x") is False  # terminal
+    def test_cancel_running_job_sets_flag(self, tmp_path):
+        root = tmp_path / "svc"
+        submit_job(root, "smoke", job_id="x")
+        worker = _serve(root)
+        claimed = worker.lease.claim("x")
+        assert request_cancel(root, "x") is True
+        assert claimed.status == "running" and not claimed.cancel_requested
+        finished = worker._run_claimed(claimed)
+        assert finished.status == "cancelled"
+        assert request_cancel(root, "x") is False  # terminal
 
-    def test_retry_until_attempts_exhausted(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="x", scenario="smoke", max_attempts=2))
-        job = queue.pop()
-        queue.fail(job, "boom 1")
+    def test_retry_until_attempts_exhausted(self, tmp_path, monkeypatch):
+        import repro.service.scheduler as scheduler_module
+
+        calls = {"count": 0}
+
+        def broken(name, params=None):
+            calls["count"] += 1
+            raise RuntimeError(f"boom {calls['count']}")
+
+        monkeypatch.setattr(scheduler_module, "generate_scenario", broken)
+        root = tmp_path / "svc"
+        submit_job(root, "smoke", job_id="x", max_attempts=2)
+        worker = _serve(root)
+        job = worker.step()
         assert job.status == "queued" and job.attempts == 1
-        job = queue.pop()
+        job = worker.step()
         assert job.attempts == 2
-        queue.fail(job, "boom 2")
         assert job.status == "failed"
-        assert job.error == "boom 2"
-        assert queue.pop() is None
+        assert "boom 2" in job.error
+        assert worker.step() is None
 
-    def test_duplicate_active_id_rejected(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="x", scenario="smoke"))
-        with pytest.raises(ValueError, match="already active"):
-            queue.submit(Job(job_id="x", scenario="smoke"))
+    def test_duplicate_active_id_rejected(self, tmp_path):
+        root = tmp_path / "svc"
+        submit_job(root, "smoke", job_id="x")
+        with pytest.raises(ValueError, match="already exists"):
+            submit_job(root, "smoke", job_id="x")
 
     def test_job_record_round_trip(self):
         job = Job(job_id="j", scenario="smoke", params={"seed": 4}, priority=3)
         assert Job.from_dict(job.to_dict()) == job
         job.cancel_requested = True  # mid-run cancels survive the spool
         assert Job.from_dict(job.to_dict()).cancel_requested is True
-
-    def test_prune_terminal_forgets_finished_jobs(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="a", scenario="smoke"))
-        queue.submit(Job(job_id="b", scenario="smoke"))
-        job = queue.pop()
-        queue.finish(job)
-        assert queue.prune_terminal() == 1
-        assert queue.get("a") is None
-        assert queue.get("b") is not None  # still queued
-        assert queue.pop().job_id == "b"  # stale heap entries are harmless
 
 
 # -- scenarios -----------------------------------------------------------------------
@@ -366,15 +392,12 @@ class TestScenarios:
 
 class TestScheduler:
     def test_executes_job_and_records_outcome(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="j", scenario="smoke"))
-        scheduler = Scheduler(queue, Engine(cache=SolutionCache()))
-        job = scheduler.run_once()
-        assert job.status == "done"
-        assert job.result["panels"] == len(_smoke_tasks())
-        assert job.result["valid_panels"] == job.result["panels"]
-        assert job.result["cache"]["misses"] == job.result["panels"]
-        assert scheduler.run_once() is None
+        scheduler = Scheduler(Engine(cache=SolutionCache()))
+        outcome = scheduler.execute_job(Job(job_id="j", scenario="smoke", status="running"))
+        result = outcome.to_dict()
+        assert result["panels"] == len(_smoke_tasks())
+        assert result["valid_panels"] == result["panels"]
+        assert result["cache"]["misses"] == result["panels"]
 
     def test_batches_group_by_solver_and_effort(self):
         tasks = generate_scenario("smoke") + generate_scenario(
@@ -394,18 +417,21 @@ class TestScheduler:
         with pytest.raises(ValueError, match="max_size"):
             batch_compatible(tasks, max_size=0)
 
-    def test_long_job_heartbeats_between_batches(self, tmp_path):
+    def test_long_job_heartbeats_between_batches(self, tmp_path, monkeypatch):
         """_on_batch fires once per sub-batch, not once per job."""
+        import repro.service.scheduler as scheduler_module
+
+        monkeypatch.setattr(scheduler_module, "BATCH_SIZE", 4)
         root = tmp_path / "svc"
         submit_job(root, "mixed-width")  # 10 homogeneous panels
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.scheduler.batch_size = 4
+        worker = _serve(root)
         pulses = []
-        daemon.scheduler.on_batch = lambda job: pulses.append(job.job_id)
-        daemon.run(max_jobs=1, idle_exit=0.05)
+        worker.scheduler.on_batch = lambda job: pulses.append(job.job_id)
+        worker.run(max_jobs=1, idle_exit=0.05)
         assert len(pulses) == 3
 
     def test_failure_retries_then_succeeds(self, monkeypatch):
+        """Execution errors propagate; retrying is the caller's decision."""
         import repro.service.scheduler as scheduler_module
 
         calls = {"count": 0}
@@ -418,60 +444,59 @@ class TestScheduler:
             return real(name, params)
 
         monkeypatch.setattr(scheduler_module, "generate_scenario", flaky)
-        queue = JobQueue()
-        queue.submit(Job(job_id="j", scenario="smoke", max_attempts=2))
-        scheduler = Scheduler(queue)
-        first = scheduler.run_once()
-        assert first.status == "queued" and "transient failure" in first.error
-        second = scheduler.run_once()
-        assert second.status == "done" and second.attempts == 2
+        scheduler = Scheduler()
+        job = Job(job_id="j", scenario="smoke", status="running")
+        with pytest.raises(RuntimeError, match="transient failure"):
+            scheduler.execute_job(job)
+        assert scheduler.execute_job(job).panels == len(_smoke_tasks())
 
-    def test_failure_exhausts_attempts(self, monkeypatch):
+    def test_failure_exhausts_attempts(self, tmp_path, monkeypatch):
         import repro.service.scheduler as scheduler_module
 
         def always_broken(name, params=None):
             raise RuntimeError("permanently broken")
 
         monkeypatch.setattr(scheduler_module, "generate_scenario", always_broken)
-        queue = JobQueue()
-        queue.submit(Job(job_id="j", scenario="smoke", max_attempts=2))
-        finished = Scheduler(queue).drain()
-        assert len(finished) == 2  # both attempts were claimed and ran
-        assert queue.get("j").status == "failed"
-        assert queue.get("j").attempts == 2
-        assert "permanently broken" in queue.get("j").error
+        root = tmp_path / "svc"
+        submit_job(root, "smoke", job_id="j", max_attempts=2)
+        worker = _serve(root)
+        # Both attempts were claimed and ran; only the last one is terminal.
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
+        record = wait_for_job(root, "j", timeout=5.0)
+        assert record.status == "failed"
+        assert record.attempts == 2
+        assert "permanently broken" in record.error
+        assert worker.jobs_failed == 1
 
     def test_cancellation_between_batches(self):
-        queue = JobQueue()
-        queue.submit(Job(job_id="j", scenario="smoke"))
-        scheduler = Scheduler(queue)
-        job = queue.get("j")
-        job.cancel_requested = True
-        scheduler.run_once()
-        assert job.status == "cancelled"
-        assert job.result["batches"] == 0  # no batch was dispatched
+        job = Job(job_id="j", scenario="smoke", status="running", cancel_requested=True)
+        outcome = Scheduler().execute_job(job)
+        assert outcome.batches == 0  # no batch was dispatched
 
 
-# -- daemon + spool ------------------------------------------------------------------
+# -- single serve + spool ------------------------------------------------------------
 
 
 class TestDaemon:
+    """A plain ``repro serve``: one in-process lease worker over the spool."""
+
     def test_submit_run_status_roundtrip(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke", priority=1)
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.run(max_jobs=1, idle_exit=0.05) == 1
+        worker = _serve(root)
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "done"
         report = service_status(root)
         assert report["jobs"]["counts"] == {"done": 1}
         assert report["store"]["entries"] == len(_smoke_tasks())
         assert report["cache_totals"]["misses"] == len(_smoke_tasks())
-        heartbeat = report["daemon"]["heartbeat"]
+        entry = report["cluster"]["workers"][worker.identity.worker_id]
+        heartbeat = entry["heartbeat"]
         assert heartbeat["jobs_done"] == 1 and heartbeat["pid"] == os.getpid()
-        # A cleanly exited daemon must not read as alive, however fresh the
+        # A cleanly exited serve must not read as alive, however fresh the
         # final heartbeat is.
-        assert report["daemon"]["alive"] is False
+        assert entry["alive"] is False and heartbeat["stopped"] is True
 
     def test_submit_validates_scenario_before_writing(self, tmp_path):
         root = tmp_path / "svc"
@@ -484,9 +509,7 @@ class TestDaemon:
     def test_cancel_of_finished_job_is_refused(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _serve(root).run(max_jobs=1, idle_exit=0.05)
         assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
         assert request_cancel(root, job.job_id) is False
         assert not (root / "jobs" / f"{job.job_id}.cancel").exists()
@@ -496,14 +519,14 @@ class TestDaemon:
         job = submit_job(root, "smoke")
         assert request_cancel(root, job.job_id) is True
         assert request_cancel(root, "missing-job") is False
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        # The cancel-before-claim job counts toward --max-jobs: a daemon
+        worker = _serve(root)
+        # The cancel-before-claim job counts toward --max-jobs: a serve
         # bounded to one job must exit immediately; hitting the idle-exit
         # backstop instead (returning 0) is the regression this guards.
-        assert daemon.run(max_jobs=1, idle_exit=5.0) == 1
+        assert worker.run(max_jobs=1, idle_exit=5.0) == 1
         assert wait_for_job(root, job.job_id, timeout=5.0).status == "cancelled"
-        assert daemon.jobs_cancelled == 1
-        assert daemon.queue.jobs() == []  # pruned despite never being claimed
+        assert worker.jobs_cancelled == 1
+        assert not (root / "jobs" / f"{job.job_id}.cancel").exists()
 
     def test_running_record_persisted_before_execution(self, tmp_path, monkeypatch):
         """max_attempts must bind across crashes: the claim is durable."""
@@ -511,20 +534,18 @@ class TestDaemon:
 
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
+        worker = _serve(root)
         observed = {}
         real = scheduler_module.generate_scenario
 
         def probing(name, params=None):
-            observed.update(
-                json.loads((root / "jobs" / f"{job.job_id}.json").read_text())
-            )
+            lease = json.loads(worker.lease.lease_path(job.job_id).read_text())
+            observed.update(lease["job"])
             return real(name, params)
 
         monkeypatch.setattr(scheduler_module, "generate_scenario", probing)
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
-        # While the job executed, its spool record already said so.
+        worker.run(max_jobs=1, idle_exit=0.05)
+        # While the job executed, its lease record already said so.
         assert observed["status"] == "running"
         assert observed["attempts"] == 1
 
@@ -541,9 +562,7 @@ class TestDaemon:
             return real(name, params)
 
         monkeypatch.setattr(scheduler_module, "generate_scenario", cancelling)
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _serve(root).run(max_jobs=1, idle_exit=0.05)
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "cancelled"
         assert finished.result["batches"] == 0
@@ -552,9 +571,7 @@ class TestDaemon:
         """`repro status` must never rewrite or clear a live store."""
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _serve(root).run(max_jobs=1, idle_exit=0.05)
         store_meta = root / "store" / "store.json"
         # Simulate a store written by a *newer* signature scheme.
         meta = json.loads(store_meta.read_text())
@@ -569,138 +586,80 @@ class TestDaemon:
         )  # metadata untouched
 
     def test_crashed_running_job_is_requeued(self, tmp_path):
+        """A serve that died mid-job before leases left a bare running record."""
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        record = json.loads((root / "jobs" / f"{job.job_id}.json").read_text())
-        record["status"] = "running"  # a previous daemon died mid-execution
-        record["attempts"] = 1
-        (root / "jobs" / f"{job.job_id}.json").write_text(json.dumps(record))
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.run(max_jobs=1, idle_exit=0.05)
+        _write_running_record(root, job)
+        worker = _serve(root)
+        assert worker.run(max_jobs=1, idle_exit=0.05) == 1
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "done"
         assert finished.attempts == 2
+        assert worker.jobs_reclaimed == 1
+        reclaimed = read_events(root, job_id=job.job_id, event="reclaimed")
+        assert [(r["worker"], r["status"]) for r in reclaimed] == [("local", "queued")]
 
     def test_mid_run_cancel_survives_daemon_crash(self, tmp_path):
-        """A cancel consumed right before a crash still kills the retry."""
+        """A cancel persisted right before a crash still kills the retry."""
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        path = root / "jobs" / f"{job.job_id}.json"
-        record = json.loads(path.read_text())
-        # The crashed daemon had claimed the job and persisted the cancel.
-        record.update(status="running", attempts=1, cancel_requested=True)
-        path.write_text(json.dumps(record))
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        # The crashed serve had claimed the job and persisted the cancel.
+        _write_running_record(root, job, cancel_requested=True)
+        _serve(root).run(idle_exit=0.05)
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "cancelled"
-        assert finished.result["batches"] == 0
-
-    def test_terminal_jobs_are_pruned_from_memory(self, tmp_path):
-        root = tmp_path / "svc"
-        job = submit_job(root, "smoke")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.run(max_jobs=1, idle_exit=0.05)
-        assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
-        # The spool record is the history; the daemon itself forgets the job.
-        assert daemon.queue.get(job.job_id) is None
-        assert daemon.queue.jobs() == []
+        assert finished.result is None  # nothing was dispatched
 
     def test_poison_job_fails_after_attempts_exhausted(self, tmp_path):
-        """A job that crashes the daemon cannot crash-loop forever."""
+        """A job that crashes the serve cannot crash-loop forever."""
         root = tmp_path / "svc"
         job = submit_job(root, "smoke", max_attempts=2)
-        record = json.loads((root / "jobs" / f"{job.job_id}.json").read_text())
-        record["status"] = "running"
-        record["attempts"] = 2  # every allowed attempt already died
-        (root / "jobs" / f"{job.job_id}.json").write_text(json.dumps(record))
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        # Nothing runs, but the failed-by-recovery job still counts as
-        # finished work (a --max-jobs daemon must not spin on it).
-        assert daemon.run(max_jobs=1, idle_exit=5.0) == 1
+        _write_running_record(root, job, attempts=2)  # every allowed attempt died
+        worker = _serve(root)
+        assert worker.run(idle_exit=0.05) == 0  # nothing ran
         failed = wait_for_job(root, job.job_id, timeout=5.0)
         assert failed.status == "failed"
-        assert "daemon died" in failed.error
-        assert daemon.jobs_failed == 1
+        assert "local died during attempt 2/2" in failed.error
+        assert worker.jobs_reclaimed == 1
 
     def test_cancel_marker_survives_submit_race(self, tmp_path):
-        """A marker seen before its job record is loaded must not be lost."""
+        """A marker is only ever consumed by the worker that claims its job."""
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
         assert request_cancel(root, job.job_id) is True
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
+        worker = _serve(root)
         marker = root / "jobs" / f"{job.job_id}.cancel"
-        # Marker processed while the queue has never seen the job (the
-        # submit/cancel race): it must be left in place, not swallowed.
-        daemon._consume_cancel_marker(marker)
+        # Scanning (and reclaiming) without a claim leaves the marker alone.
+        assert worker._queued_candidates() == [job.job_id]
+        assert worker.lease.reclaim_expired() == 0
         assert marker.exists()
-        daemon.poll_spool()  # record loads first, then the marker lands
+        assert worker.step().status == "cancelled"
         assert not marker.exists()
-        assert daemon.queue.get(job.job_id).status == "cancelled"
-
-    def test_running_job_of_live_sibling_daemon_is_not_stolen(self, tmp_path):
-        root = tmp_path / "svc"
-        job = submit_job(root, "smoke")
-        path = root / "jobs" / f"{job.job_id}.json"
-        record = json.loads(path.read_text())
-        record.update(status="running", attempts=1)
-        path.write_text(json.dumps(record))
-        # A *fresh* heartbeat from another pid: that daemon owns the job.
-        (root / "service.json").write_text(
-            json.dumps(
-                {"pid": os.getpid() + 1, "updated_at": time.time(), "stopped": False}
-            )
-        )
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        assert daemon.poll_spool() == 0
-        assert daemon.queue.get(job.job_id) is None  # left alone
-        assert json.loads(path.read_text())["status"] == "running"
-
-    def test_stale_sibling_heartbeat_allows_recovery(self, tmp_path):
-        root = tmp_path / "svc"
-        job = submit_job(root, "smoke")
-        path = root / "jobs" / f"{job.job_id}.json"
-        record = json.loads(path.read_text())
-        record.update(status="running", attempts=1)
-        path.write_text(json.dumps(record))
-        (root / "service.json").write_text(
-            json.dumps(
-                {"pid": os.getpid() + 1, "updated_at": time.time() - 3600, "stopped": False}
-            )
-        )
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.run(max_jobs=1, idle_exit=0.05)
-        assert wait_for_job(root, job.job_id, timeout=5.0).status == "done"
 
     def test_job_id_reuse_after_purge_is_executed(self, tmp_path):
         root = tmp_path / "svc"
         submit_job(root, "smoke", job_id="nightly")
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.run(max_jobs=1, idle_exit=0.05)
-        assert wait_for_job(root, "nightly", timeout=5.0).status == "done"
+        worker = _serve(root)
+        assert worker.step().status == "done"
         gc_service(root, purge_jobs=True)
-        # Same id, fresh record: the (still-running) daemon must notice the
+        # Same id, fresh record: the (still-running) worker must notice the
         # rewritten file rather than skipping the id from memory forever.
         submit_job(root, "smoke", job_id="nightly", params={"seed": 9})
-        assert daemon.poll_spool() == 1
-        assert daemon.queue.get("nightly").status == "queued"
+        rerun = worker.step()
+        assert (rerun.job_id, rerun.status, rerun.params) == ("nightly", "done", {"seed": 9})
 
     def test_priority_orders_execution(self, tmp_path):
         root = tmp_path / "svc"
         low = submit_job(root, "smoke", priority=0)
         high = submit_job(root, "smoke", priority=9)
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        daemon.poll_spool()
-        assert daemon.queue.pop().job_id == high.job_id
-        assert daemon.queue.pop().job_id == low.job_id
+        worker = _serve(root)
+        assert worker.step().job_id == high.job_id
+        assert worker.step().job_id == low.job_id
 
     def test_gc_purges_jobs_and_evicts_store(self, tmp_path):
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _serve(root).run(max_jobs=1, idle_exit=0.05)
         report = gc_service(root, max_bytes=1, purge_jobs=True)
         assert report["purged_jobs"] == 1
         assert report["evicted_blobs"] == len(_smoke_tasks())
@@ -710,12 +669,10 @@ class TestDaemon:
         """`repro gc` from a foreign checkout must not version-clear blobs."""
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _serve(root).run(max_jobs=1, idle_exit=0.05)
         meta_path = root / "store" / "store.json"
         meta = json.loads(meta_path.read_text())
-        meta["signature_version"] = SIGNATURE_VERSION + 1  # a newer daemon's store
+        meta["signature_version"] = SIGNATURE_VERSION + 1  # a newer worker's store
         meta_path.write_text(json.dumps(meta))
         before = sorted((root / "store" / "blobs").glob("*/*.json"))
         report = gc_service(root, purge_jobs=True)  # no size cap: no eviction
@@ -731,13 +688,9 @@ class TestWarmStart:
     def test_daemon_restart_serves_from_store(self, tmp_path):
         root = tmp_path / "svc"
         submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _serve(root).run(max_jobs=1, idle_exit=0.05)
         job = submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        _serve(root).run(max_jobs=1, idle_exit=0.05)
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         cache = finished.result["cache"]
         assert cache["misses"] == 0
@@ -993,12 +946,15 @@ class TestLeaseManager:
 
     def test_heartbeat_staleness_detection(self):
         now = time.time()
-        assert worker_is_alive({"updated_at": now, "poll_interval": 0.1, "stopped": False})
-        assert not worker_is_alive({"updated_at": now, "stopped": True})
-        assert not worker_is_alive({"updated_at": now - 3600, "stopped": False})
+        assert _worker_alive({"updated_at": now, "poll_interval": 0.1, "stopped": False})
+        assert not _worker_alive({"updated_at": now, "stopped": True})
+        assert not _worker_alive({"updated_at": now - 3600, "stopped": False})
         # The threshold scales with the poll interval of a slow worker.
-        assert worker_is_alive({"updated_at": now - 20, "poll_interval": 10.0})
-        assert not worker_is_alive({"updated_at": now - 40, "poll_interval": 10.0})
+        assert _worker_alive({"updated_at": now - 20, "poll_interval": 10.0})
+        assert not _worker_alive({"updated_at": now - 40, "poll_interval": 10.0})
+        # The floor is the caller's: 7 s is stale for a worker, fresh under 10 s.
+        assert not _worker_alive({"updated_at": now - 7})
+        assert heartbeat_is_fresh({"updated_at": now - 7}, 10.0)
 
 
 # -- cluster: worker loop -------------------------------------------------------------
@@ -1024,7 +980,7 @@ class TestClusterWorker:
         )
         heartbeat = read_worker_heartbeats(root)[worker.identity.worker_id]
         assert heartbeat["jobs_done"] == 2 and heartbeat["stopped"] is True
-        assert not worker_is_alive(heartbeat)  # clean exit is never "alive"
+        assert not _worker_alive(heartbeat)  # clean exit is never "alive"
 
     def test_two_inprocess_workers_share_one_spool(self, tmp_path):
         """Two concurrent workers drain one burst with zero double-claims."""
@@ -1243,34 +1199,6 @@ class TestConcurrentStoreGc:
         assert store.get_layout(final) == (1, 2, 3)  # the store still works
 
 
-# -- daemon: idle-exit race -----------------------------------------------------------
-
-
-class TestDaemonIdleExitRace:
-    def test_idle_exit_rechecks_spool_before_exit(self, tmp_path, monkeypatch):
-        """A submission landing after the idle scan must still be served."""
-        root = tmp_path / "svc"
-        daemon = ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01))
-        real_run_once = daemon.scheduler.run_once
-        raced = {"submitted": False}
-
-        def run_once_with_late_submission():
-            job = real_run_once()
-            if job is None and not raced["submitted"]:
-                # The spool scan of this cycle found nothing; the submission
-                # lands now — after the scan, before the idle-deadline check.
-                raced["submitted"] = True
-                submit_job(root, "smoke")
-            return job
-
-        monkeypatch.setattr(daemon.scheduler, "run_once", run_once_with_late_submission)
-        # idle_exit=0: the deadline fires on the very first idle cycle, so
-        # only the final re-check can see the racing submission.
-        assert daemon.run(max_jobs=1, idle_exit=0.0) == 1
-        jobs = [json.loads(p.read_text()) for p in (root / "jobs").glob("*.json")]
-        assert [job["status"] for job in jobs] == ["done"]
-
-
 # -- job record: execution audit trail ------------------------------------------------
 
 
@@ -1278,13 +1206,12 @@ class TestExecutionAuditTrail:
     def test_daemon_records_exactly_one_execution(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
+        worker = _serve(root)
+        worker.run(max_jobs=1, idle_exit=0.05)
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert len(finished.executions) == 1
         entry = finished.executions[0]
-        assert entry["worker"] == "local" and entry["attempt"] == 1
+        assert entry["worker"] == worker.identity.worker_id and entry["attempt"] == 1
         assert entry["finished_at"] >= entry["claimed_at"]
         assert finished.latency_seconds() is not None
         assert finished.latency_seconds() >= 0.0
@@ -1476,10 +1403,8 @@ class TestClusterRobustness:
     def test_gc_sweeps_orphaned_cancel_markers(self, tmp_path):
         root = tmp_path / "svc"
         job = submit_job(root, "smoke")
-        ServiceDaemon(ServiceConfig(root=root, poll_interval=0.01)).run(
-            max_jobs=1, idle_exit=0.05
-        )
-        # Marker written against the finished job (the daemon never saw it).
+        _serve(root).run(max_jobs=1, idle_exit=0.05)
+        # Marker written against the finished job (the worker never saw it).
         (root / "jobs" / f"{job.job_id}.cancel").write_text("")
         (root / "jobs" / "ghost.cancel").write_text("")  # job never existed
         report = gc_service(root, purge_jobs=True)

@@ -24,8 +24,6 @@ from repro.service import (
     ClusterWorker,
     LeaseManager,
     ResultStore,
-    ServiceConfig,
-    ServiceDaemon,
     WorkerConfig,
     WorkerIdentity,
     adopt_stray_records,
@@ -324,12 +322,16 @@ class TestStrayAdoption:
 
 
 class TestShardedService:
-    def test_daemon_serves_a_migrated_root(self, tmp_path):
+    def test_daemon_serves_a_migrated_root(self, tmp_path, capsys):
+        """`serve --shards 4` migrates a flat root in place, then serves it."""
         root = tmp_path / "svc"
         for i in range(5):
             submit_job(root, "smoke", params={"seed": i}, job_id=f"smoke-{i:08d}")
-        daemon = ServiceDaemon(ServiceConfig(root=root, shards=4))
-        assert daemon.run(max_jobs=5, idle_exit=0.2) == 5
+        assert not read_layout(root).sharded
+        argv = ["serve", "--root", str(root), "--shards", "4", "--max-jobs", "5"]
+        assert main([*argv, "--idle-exit", "0.2", "--poll", "0.02"]) == 0
+        assert "served 5 job(s)" in capsys.readouterr().out
+        assert read_layout(root).shards == 4
         report = service_status(root)
         assert report["jobs"]["counts"] == {"done": 5}
         claimed = read_events(root, event="claimed")
