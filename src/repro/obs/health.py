@@ -144,9 +144,9 @@ def classify_worker(heartbeat: Dict[str, object], now: Optional[float] = None) -
         return STATE_STOPPED, age
     # Same bound reclaim's liveness check uses, looked up lazily to keep
     # this module importable below the service layer.
-    from repro.service.cluster import WORKER_STALE_SECONDS
+    from repro.service.cluster import WORKER_STALE_SECONDS, stale_after
 
-    bound = max(WORKER_STALE_SECONDS, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
+    bound = stale_after(heartbeat, WORKER_STALE_SECONDS)
     if age <= 0.5 * bound:
         return STATE_OK, age
     if age <= bound:

@@ -105,20 +105,28 @@ def _workers_dir(root: Path) -> Path:
     return root / "workers"
 
 
+def stale_after(heartbeat: Dict[str, object], floor_seconds: float) -> float:
+    """Heartbeat age past which its writer counts as gone.
+
+    ``floor_seconds`` (:data:`WORKER_STALE_SECONDS` for workers) or three
+    of the writer's poll intervals, whichever is longer, so slow pollers
+    are not declared dead between beats.
+    """
+    return max(floor_seconds, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
+
+
 def heartbeat_is_fresh(heartbeat: Dict[str, object], floor_seconds: float) -> bool:
     """Whether a heartbeat file indicates a live process.
 
     The single definition of liveness — lease reclaim, ``status``, ``gc``,
-    resharding and the gateway section all use it.  A ``stopped`` heartbeat
-    is never fresh; otherwise its age must stay below ``floor_seconds``
-    (:data:`WORKER_STALE_SECONDS` for workers) or three of the writer's
-    poll intervals, whichever is longer, so slow pollers are not declared
-    dead between beats.
+    resharding and the gateway section all use it (fleet health grades its
+    states by the same :func:`stale_after` bound).  A ``stopped`` heartbeat
+    is never fresh.
     """
     if heartbeat.get("stopped"):
         return False
     age = time.time() - float(heartbeat.get("updated_at", 0.0))
-    return age < max(floor_seconds, 3.0 * float(heartbeat.get("poll_interval", 0.0)))
+    return age < stale_after(heartbeat, floor_seconds)
 
 
 def read_worker_heartbeats(root: Union[str, Path]) -> Dict[str, Dict[str, object]]:
@@ -1464,4 +1472,5 @@ __all__ = [
     "active_leases",
     "read_worker_heartbeats",
     "heartbeat_is_fresh",
+    "stale_after",
 ]

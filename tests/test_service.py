@@ -64,18 +64,16 @@ def _smoke_tasks():
     return generate_scenario("smoke")
 
 
-def _serve(root, **overrides) -> ClusterWorker:
+def _serve(root) -> ClusterWorker:
     """What a plain ``repro serve`` runs: one in-process lease worker."""
-    config = dict(root=root, poll_interval=0.01, lease_ttl=5.0)
-    config.update(overrides)
-    return ClusterWorker(WorkerConfig(**config))
+    return ClusterWorker(WorkerConfig(root=root, poll_interval=0.01, lease_ttl=5.0))
 
 
 def _worker_alive(heartbeat) -> bool:
     return heartbeat_is_fresh(heartbeat, WORKER_STALE_SECONDS)
 
 
-def _write_running_record(root, job, **fields) -> Path:
+def _write_running_record(root, job, **fields) -> None:
     """Leave ``job`` the way a serve that crashed mid-job before leases did:
     a ``running`` record in ``jobs/`` that no lease covers."""
     path = root / "jobs" / f"{job.job_id}.json"
@@ -83,7 +81,6 @@ def _write_running_record(root, job, **fields) -> Path:
     record.update({"status": "running", "attempts": 1, **fields})
     record["executions"] = [{"worker": "local", "attempt": record["attempts"], "claimed_at": 0.0}]
     path.write_text(json.dumps(record))
-    return path
 
 
 # -- ResultStore ---------------------------------------------------------------------
@@ -291,8 +288,8 @@ class TestJobQueue:
         claimed = worker.lease.claim("x")
         assert request_cancel(root, "x") is True
         assert claimed.status == "running" and not claimed.cancel_requested
-        finished = worker._run_claimed(claimed)
-        assert finished.status == "cancelled"
+        finished = worker._run_claimed(claimed)  # sees the marker, raises the flag
+        assert finished.cancel_requested and finished.status == "cancelled"
         assert request_cancel(root, "x") is False  # terminal
 
     def test_retry_until_attempts_exhausted(self, tmp_path, monkeypatch):
