@@ -365,7 +365,7 @@ class LeaseManager:
                 owner_heartbeat, WORKER_STALE_SECONDS
             ):
                 continue  # owner is alive, merely slow; never steal
-            if self.reclaim(lease_path, shard):
+            if self.reclaim(lease_path, shard) is not None:
                 reclaimed += 1
         return reclaimed
 
@@ -392,7 +392,7 @@ class LeaseManager:
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             return self.lease_ttl
 
-    def reclaim(self, lease_path: Path, shard: int = 0) -> bool:
+    def reclaim(self, lease_path: Path, shard: int = 0) -> Optional[str]:
         """Atomically steal one abandoned record and resolve its job.
 
         ``lease_path`` is an expired lease, or a ``running`` spool record
@@ -400,7 +400,8 @@ class LeaseManager:
         service claimed through leases).  Either way the rules are the same:
         terminal stays terminal, a requested cancel ends ``cancelled``, a
         spent retry budget ends ``failed``, and anything else is re-queued
-        with its attempt count preserved.
+        with its attempt count preserved.  Returns the job's resolved
+        status, or ``None`` when another process won the record.
         """
         # The `.reclaim` suffix keeps the stolen file out of `*.json` scans;
         # the temp lives in this worker's directory *of the job's shard* so
@@ -420,7 +421,7 @@ class LeaseManager:
         worker = payload.get("worker_id") if isinstance(payload, dict) else None
         if worker is None and job is not None and job.executions:
             worker = job.executions[-1].get("worker")  # a bare running record
-        resolved = False
+        resolved: Optional[str] = None
         if job is not None and not self._job_path(job.job_id).exists():
             # (A spool record already present means the owner's release
             # raced the reclaim — or the id was purged and reused — and the
@@ -443,7 +444,7 @@ class LeaseManager:
             atomic_write_text(
                 self._job_path(job.job_id), json.dumps(job.to_dict(), indent=2) + "\n"
             )
-            resolved = True
+            resolved = job.status
             if self.events is not None:
                 self.events.emit(
                     "reclaimed",
@@ -880,14 +881,17 @@ class ClusterWorker:
     def _spool_has_queued_work(self) -> bool:
         return bool(self._queued_candidates())
 
-    def _settle_unleased_running(self) -> None:
+    def _settle_unleased_running(self) -> int:
         """Resolve ``running`` spool records that no lease covers.
 
         Workers keep a running job under their lease, never in ``jobs/``;
         such a record is left by a process that crashed before the service
         claimed through leases, and no worker would ever claim it.  It is
-        reclaimed with the expired-lease rules.
+        reclaimed with the expired-lease rules.  Returns how many records
+        ended terminal (``failed`` or ``cancelled``): those are outcomes
+        this run produced, so they count toward ``max_jobs``.
         """
+        settled = 0
         for shard in range(self.layout.shards):
             records, _terminal, _unreadable = scan_spool_records(
                 self.layout.jobs_dir(shard), self._known_terminal[shard]
@@ -895,7 +899,11 @@ class ClusterWorker:
             for record in records:
                 if record.get("status") == "running":
                     path = self.layout.job_path(str(record["job_id"]))
-                    self.jobs_reclaimed += self.lease.reclaim(path, shard)
+                    status = self.lease.reclaim(path, shard)
+                    if status is not None:
+                        self.jobs_reclaimed += 1
+                        settled += status in TERMINAL_STATUSES
+        return settled
 
     def run(self, max_jobs: Optional[int] = None, idle_exit: Optional[float] = None) -> int:
         """Serve until ``max_jobs`` terminal outcomes or idle too long.
@@ -904,7 +912,8 @@ class ClusterWorker:
         the idle deadline re-checks the spool one final time before
         exiting, so a submission landing during the last poll sleep is
         served, not stranded.  Abandoned ``running`` records are settled
-        once, at startup (:meth:`_settle_unleased_running`).
+        once, at startup (:meth:`_settle_unleased_running`); those that end
+        ``failed`` or ``cancelled`` count as finished work.
         """
         self._install_signal_handler()
         self.events.emit(
@@ -915,23 +924,20 @@ class ClusterWorker:
                 self.layout.shard_name(self.home_shard) if self.layout.sharded else None
             ),
         )
-        self._settle_unleased_running()
+        finished = self._settle_unleased_running()
         self._heartbeat(force=True)
         self._pulse_stop.clear()
         self._pulse_thread = threading.Thread(
             target=self._pulse, name=f"pulse-{self.identity.worker_id}", daemon=True
         )
         self._pulse_thread.start()
-        finished = 0
         idle_since: Optional[float] = None
         try:
-            while not self._stop_requested:
+            while not self._stop_requested and (max_jobs is None or finished < max_jobs):
                 job = self.step()
                 if job is not None:
                     if job.is_terminal and self._last_owned:
                         finished += 1
-                        if max_jobs is not None and finished >= max_jobs:
-                            break
                     idle_since = None
                     continue
                 now = time.time()

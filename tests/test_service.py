@@ -310,7 +310,7 @@ class TestJobQueue:
         job = worker.step()
         assert job.attempts == 2
         assert job.status == "failed"
-        assert "boom 2" in job.error
+        assert job.error == "RuntimeError: boom 2"
         assert worker.step() is None
 
     def test_duplicate_active_id_rejected(self, tmp_path):
@@ -427,8 +427,8 @@ class TestScheduler:
         worker.run(max_jobs=1, idle_exit=0.05)
         assert len(pulses) == 3
 
-    def test_failure_retries_then_succeeds(self, monkeypatch):
-        """Execution errors propagate; retrying is the caller's decision."""
+    def test_failure_retries_then_succeeds(self, tmp_path, monkeypatch):
+        """Execution errors propagate; the serving worker retries the job."""
         import repro.service.scheduler as scheduler_module
 
         calls = {"count": 0}
@@ -445,7 +445,14 @@ class TestScheduler:
         job = Job(job_id="j", scenario="smoke", status="running")
         with pytest.raises(RuntimeError, match="transient failure"):
             scheduler.execute_job(job)
-        assert scheduler.execute_job(job).panels == len(_smoke_tasks())
+        calls["count"] = 0
+        root = tmp_path / "svc"
+        submit_job(root, "smoke", job_id="j", max_attempts=2)
+        worker = _serve(root)
+        first = worker.step()
+        assert first.status == "queued" and "transient failure" in first.error
+        second = worker.step()
+        assert second.status == "done" and second.attempts == 2
 
     def test_failure_exhausts_attempts(self, tmp_path, monkeypatch):
         import repro.service.scheduler as scheduler_module
@@ -462,6 +469,7 @@ class TestScheduler:
         record = wait_for_job(root, "j", timeout=5.0)
         assert record.status == "failed"
         assert record.attempts == 2
+        assert len(record.executions) == 2  # both attempts were claimed and ran
         assert "permanently broken" in record.error
         assert worker.jobs_failed == 1
 
@@ -602,7 +610,8 @@ class TestDaemon:
         job = submit_job(root, "smoke")
         # The crashed serve had claimed the job and persisted the cancel.
         _write_running_record(root, job, cancel_requested=True)
-        _serve(root).run(idle_exit=0.05)
+        # The cancelled-by-recovery job is this run's finished work.
+        assert _serve(root).run(max_jobs=1, idle_exit=0.05) == 1
         finished = wait_for_job(root, job.job_id, timeout=5.0)
         assert finished.status == "cancelled"
         assert finished.result is None  # nothing was dispatched
@@ -613,7 +622,11 @@ class TestDaemon:
         job = submit_job(root, "smoke", max_attempts=2)
         _write_running_record(root, job, attempts=2)  # every allowed attempt died
         worker = _serve(root)
-        assert worker.run(idle_exit=0.05) == 0  # nothing ran
+        # Nothing runs, but the failed-by-recovery job still counts as
+        # finished work (a --max-jobs serve must not spin on it).
+        started = time.monotonic()
+        assert worker.run(max_jobs=1, idle_exit=5.0) == 1
+        assert time.monotonic() - started < 5.0  # no idle wait
         failed = wait_for_job(root, job.job_id, timeout=5.0)
         assert failed.status == "failed"
         assert "local died during attempt 2/2" in failed.error
