@@ -71,14 +71,14 @@ class ExperimentConfig:
         three flows (on by default; purely an execution optimisation).
     sino_effort:
         Per-region SINO effort level — one of
-        :data:`repro.sino.anneal.EFFORT_LEVELS`; overrides the template's
-        ``sino_effort``.
+        :data:`repro.sino.anneal.EFFORT_LEVELS` (``greedy`` / ``anneal`` /
+        ``portfolio``); overrides the template's ``sino_effort``.
     chains:
         Independent annealing chains per panel for the annealing effort
         levels (1 = single-chain search, the historic behaviour).
     batch_k:
-        Candidate moves scored per batched annealing step (the
-        ``anneal-batched`` effort); ``None`` keeps the schedule default.
+        Candidate moves scored per annealing step under the ``anneal`` and
+        ``portfolio`` efforts; ``None`` keeps the schedule default (1).
     store_path:
         Optional directory of a persistent result store
         (:class:`repro.service.store.ResultStore`).  Every instance's cache

@@ -192,8 +192,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         metavar="K",
-        help="candidate moves scored per batched annealing step "
-        "(anneal-batched effort; default: the schedule's batch_k)",
+        help="candidate moves scored per annealing step (anneal and portfolio "
+        "efforts; default 1, the reference-identical chain; 8 is the best-of-K "
+        "batched search)",
     )
 
 

@@ -47,13 +47,18 @@ if TYPE_CHECKING:  # the grid layer sits below the engine; import only for types
 #: Signature scheme version; bump when the token layout changes so persisted
 #: caches (if any) cannot return solutions hashed under an older scheme.
 #: Version 2 added the chain count to the annealing-schedule token; version 3
-#: added the batched-evaluation width (``batch_k``).
-SIGNATURE_VERSION = 3
+#: added the batched-evaluation width (``batch_k``); version 4 made that width
+#: binding under ``effort="anneal"`` (which used to ignore it), so version-3
+#: entries keyed ``anneal`` with ``batch_k=8`` hold width-1 layouts and must
+#: not be served.  Persisted stores re-solve once after each bump.
+SIGNATURE_VERSION = 4
 
 #: Version of the *stage* signature scheme (instance token + stage token
 #: layout).  Bump whenever either token layout changes so persisted stage
-#: artifacts hashed under an older scheme can never be restored.
-STAGE_SIGNATURE_VERSION = 1
+#: artifacts hashed under an older scheme can never be restored.  Version 2
+#: rides along with panel ``SIGNATURE_VERSION`` 4: stage artifacts embed panel
+#: solutions solved under the old ``batch_k`` semantics.
+STAGE_SIGNATURE_VERSION = 2
 
 
 def _float_token(value: float) -> str:

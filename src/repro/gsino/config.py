@@ -47,18 +47,18 @@ class GsinoConfig:
         regime of the paper is preserved (see DESIGN.md).
     sino_effort:
         Effort level of every per-region SINO solve — one of
-        :data:`repro.sino.anneal.EFFORT_LEVELS`: ``"greedy"``, ``"anneal"``,
-        ``"anneal-fast"`` (quarter-length schedule), ``"anneal-batched"``
-        (best-of-K batched move evaluation, ``AnnealConfig.batch_k`` picks K)
+        :data:`repro.sino.anneal.EFFORT_LEVELS`: ``"greedy"``, ``"anneal"``
         or ``"portfolio"`` (greedy plus annealing chains, best feasible
-        wins).
+        wins).  The schedule length and the best-of-K width are ``anneal``
+        fields (``iterations``, ``batch_k``), not effort levels; the retired
+        quarter-schedule and batched effort names are rejected.
     anneal:
         Annealing schedule used by the annealing effort levels, including
         the multi-chain count (``AnnealConfig.chains``) and the batched
-        evaluation width (``AnnealConfig.batch_k``); ``None`` uses the
-        solver's default schedule.  Part of the panel cache key, so changing
-        the schedule, chain count or batch width never reuses stale
-        solutions.
+        evaluation width (``AnnealConfig.batch_k``, default 1 — the
+        reference-identical chain); ``None`` uses the solver's default
+        schedule.  Part of the panel cache key, so changing the schedule,
+        chain count or batch width never reuses stale solutions.
     gsino_weights / baseline_weights:
         Formula 2 configurations for the GSINO router (shield reservation on)
         and the baseline router (reservation off), respectively.

@@ -7,8 +7,9 @@ instruments owned by one worker or gateway process:
   leases reclaimed);
 * :class:`Gauge` — last-written values (spool queue depth, cache hit
   totals);
-* :class:`Histogram` — bucketed distributions with sum/count and
-  bucket-interpolated percentile estimation (solve latency).
+* :class:`Histogram` — bucketed distributions with sum/count (solve
+  latency); :func:`snapshot_percentile` estimates bucket-interpolated
+  percentiles from a serialised or merged record.
 
 Instruments are created on first use (``registry.counter("lease.reclaimed")``)
 so emitting code never pre-declares anything.  At heartbeat boundaries the
@@ -69,12 +70,12 @@ class Gauge:
 
 
 class Histogram:
-    """Bucketed distribution with interpolated percentiles.
+    """Bucketed distribution with sum and count.
 
     ``bounds`` are inclusive upper edges; observations above the last bound
-    land in a final overflow bucket.  Percentiles assume a uniform spread
-    within each bucket (linear interpolation between bucket edges), which
-    is exact enough for latency reporting without storing samples.
+    land in a final overflow bucket.  Percentiles are read from the
+    serialised record (:func:`snapshot_percentile`), so one process's
+    histogram and a merged fleet snapshot share one estimator.
     """
 
     def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
@@ -96,14 +97,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, fraction: float) -> float:
-        """Estimated value at ``fraction`` (0..1) of the distribution."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be within [0, 1], got {fraction}")
-        if self.count == 0:
-            return 0.0
-        return _bucket_percentile(self.bounds, self.bucket_counts, self.count, fraction)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "type": "histogram",
@@ -112,24 +105,6 @@ class Histogram:
             "sum": round(self.total, 6),
             "count": self.count,
         }
-
-
-def _bucket_percentile(
-    bounds: Sequence[float], bucket_counts: Sequence[int], count: int, fraction: float
-) -> float:
-    """Linear-interpolated percentile over bucket counts (shared with merges)."""
-    rank = fraction * count
-    cumulative = 0.0
-    for index, bucket_count in enumerate(bucket_counts):
-        if bucket_count == 0:
-            continue
-        if cumulative + bucket_count >= rank:
-            lower = bounds[index - 1] if index > 0 else 0.0
-            upper = bounds[index] if index < len(bounds) else bounds[-1]
-            within = (rank - cumulative) / bucket_count if bucket_count else 0.0
-            return lower + (upper - lower) * min(1.0, max(0.0, within))
-        cumulative += bucket_count
-    return float(bounds[-1])
 
 
 class MetricsRegistry:
@@ -264,14 +239,33 @@ def fleet_metrics_from_events(
 
 
 def snapshot_percentile(record: Dict[str, object], fraction: float) -> Optional[float]:
-    """Percentile from a serialised histogram record, or ``None`` if empty."""
+    """Estimated value at ``fraction`` (0..1) of a serialised histogram.
+
+    ``None`` for an empty or malformed record.  Observations are assumed to
+    spread uniformly within each bucket (linear interpolation between bucket
+    edges), which is exact enough for latency reporting without samples;
+    the overflow bucket reports the last bound.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be within [0, 1], got {fraction}")
     if record.get("type") != "histogram" or not int(record.get("count", 0)):
         return None
     bounds = [float(b) for b in record.get("bounds", [])]
     counts = [int(c) for c in record.get("bucket_counts", [])]
     if not bounds or len(counts) != len(bounds) + 1:
         return None
-    return _bucket_percentile(bounds, counts, int(record["count"]), fraction)
+    rank = fraction * int(record["count"])
+    cumulative = 0.0
+    for index, bucket_count in enumerate(counts):
+        if bucket_count == 0:
+            continue
+        if cumulative + bucket_count >= rank:
+            lower = bounds[index - 1] if index > 0 else 0.0
+            upper = bounds[index] if index < len(bounds) else bounds[-1]
+            within = (rank - cumulative) / bucket_count
+            return lower + (upper - lower) * min(1.0, max(0.0, within))
+        cumulative += bucket_count
+    return bounds[-1]
 
 
 def nearest_rank(values: Iterable[float], fraction: float) -> Optional[float]:

@@ -21,6 +21,13 @@ store only ``(scenario, params)`` — tiny, JSON-safe — and the scheduler
 regenerates the tasks (or the flow context) at execution time; identical
 submissions produce identical panel/stage signatures and hit the result
 store.
+
+Effort overrides accept the three solver levels ``greedy`` / ``anneal`` /
+``portfolio``; the retired quarter-schedule and batched effort names fail
+parameter validation — at submit time, and when a worker regenerates a job
+already in a spool that still names them.  Schedule length and batch width
+are not effort levels any more: annealing tasks run
+:data:`SCENARIO_ANNEAL_ITERATIONS` moves, and ``batch_k`` sets the width.
 """
 
 from __future__ import annotations
@@ -42,6 +49,11 @@ from repro.tech.itrs import ITRS_100NM, get_technology
 #: while the scheduler deliberately imports it only when a flow job runs.
 #: ``tests/test_flow.py`` pins the two tuples equal.
 FLOW_SCENARIO_FLOWS: Tuple[str, ...] = ("id_no", "isino", "gsino")
+
+#: Schedule length of every annealing panel-scenario task — a quarter of
+#: the solver's default 1500 moves, so small service jobs stay cheap.  A
+#: submit-time ``effort`` override to ``anneal`` or ``portfolio`` runs it too.
+SCENARIO_ANNEAL_ITERATIONS = 375
 
 
 @dataclass(frozen=True)
@@ -71,10 +83,10 @@ class ScenarioSpec:
         below ~1.3 leave no room for shields and create overflow pressure;
         0 disables the capacity limit entirely.
     solver / effort / chains / batch_k:
-        Forwarded to :class:`~repro.engine.panels.PanelTask`; ``chains > 1``
-        or a non-default ``batch_k`` attaches an annealing schedule (the
-        batched width only takes effect under the ``anneal-batched``
-        effort).
+        Forwarded to :class:`~repro.engine.panels.PanelTask`.  Tasks of the
+        annealing efforts (``anneal`` / ``portfolio``) carry a
+        :data:`SCENARIO_ANNEAL_ITERATIONS`-move schedule with this chain
+        count and batch width; ``greedy`` tasks carry none.
     seed:
         Base seed; panel ``i`` derives its structure and task seed from it.
     """
@@ -92,7 +104,7 @@ class ScenarioSpec:
     solver: str = "sino"
     effort: str = "greedy"
     chains: int = 1
-    batch_k: int = 8
+    batch_k: int = 1
     seed: int = 2002
 
     def __post_init__(self) -> None:
@@ -222,6 +234,9 @@ def generate_scenario(name: str, params: Dict[str, object] | None = None) -> Lis
     Panel ``i`` gets segment ids in a disjoint ``i * 1000`` block so tasks
     stay distinguishable in panel keys and diagnostics, and a derived task
     seed ``seed + i`` so annealing panels are independent but reproducible.
+    Annealing tasks all run the :data:`SCENARIO_ANNEAL_ITERATIONS`-move
+    schedule (``dense-bus``, or any scenario submitted with
+    ``effort: "anneal"``).
     """
     spec = scenario_spec(name).with_params(dict(params or {}))
     if isinstance(spec, FlowScenarioSpec):
@@ -234,12 +249,11 @@ def generate_scenario(name: str, params: Dict[str, object] | None = None) -> Lis
     bound_scale = technology.vdd / ITRS_100NM.vdd
     rng = random.Random(spec.seed)
     tasks: List[PanelTask] = []
-    default_width = AnnealConfig().batch_k
-    anneal = (
-        AnnealConfig(chains=spec.chains, batch_k=spec.batch_k)
-        if spec.chains > 1 or spec.batch_k != default_width
-        else None
-    )
+    anneal = None
+    if spec.effort != "greedy":
+        anneal = AnnealConfig(
+            iterations=SCENARIO_ANNEAL_ITERATIONS, chains=spec.chains, batch_k=spec.batch_k
+        )
     for index in range(spec.panels):
         count = rng.randint(spec.min_segments, spec.max_segments)
         segments = [index * 1000 + offset for offset in range(count)]
@@ -337,7 +351,7 @@ register_scenario(
         sensitivity_rate=0.8,
         kth_low=0.5,
         kth_high=0.9,
-        effort="anneal-fast",
+        effort="anneal",
     )
 )
 register_scenario(

@@ -11,8 +11,10 @@ a minimum number of shield wires on parallel tracks such that
 
 The problem is NP-hard, so this package provides a fast greedy constructor
 (:mod:`repro.sino.greedy`), a simulated-annealing improver
-(:mod:`repro.sino.anneal`), the net-ordering-only solver used by the ID+NO
-baseline (:mod:`repro.sino.net_ordering`), a solution checker
+(:mod:`repro.sino.anneal` — one chain loop whose width ``batch_k`` selects
+single-move or best-of-K batched proposals, behind the three effort levels
+``greedy`` / ``anneal`` / ``portfolio``), the net-ordering-only solver used
+by the ID+NO baseline (:mod:`repro.sino.net_ordering`), a solution checker
 (:mod:`repro.sino.checker`), and the closed-form shield-count estimator of
 Formula 3 (:mod:`repro.sino.estimate`).
 """
@@ -21,7 +23,6 @@ from repro.sino.panel import SinoProblem, SinoSolution
 from repro.sino.checker import CheckResult, check_solution
 from repro.sino.greedy import greedy_sino
 from repro.sino.anneal import (
-    ANNEAL_FAST_DIVISOR,
     EFFORT_LEVELS,
     AnnealConfig,
     anneal_sino,
@@ -46,7 +47,6 @@ __all__ = [
     "CheckResult",
     "check_solution",
     "greedy_sino",
-    "ANNEAL_FAST_DIVISOR",
     "EFFORT_LEVELS",
     "AnnealConfig",
     "anneal_sino",

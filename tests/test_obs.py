@@ -298,11 +298,12 @@ class TestMetrics:
         for value in (0.002, 0.02, 0.02, 0.2, 2.0, 400.0):
             histogram.observe(value)
         assert histogram.count == 6
-        p50, p90, p99 = (histogram.percentile(f) for f in (0.5, 0.9, 0.99))
+        record = histogram.to_dict()
+        p50, p90, p99 = (snapshot_percentile(record, f) for f in (0.5, 0.9, 0.99))
         assert 0.0 < p50 <= p90 <= p99
         assert histogram.bucket_counts[-1] == 1  # 400s landed in overflow
         with pytest.raises(ValueError):
-            histogram.percentile(1.5)
+            snapshot_percentile(record, 1.5)
 
     @pytest.mark.parametrize(
         "size, fraction, index",

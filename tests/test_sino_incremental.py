@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.engine.backends import SerialBackend, ThreadBackend
-from repro.engine.panels import Engine, PanelTask
+from repro.engine.panels import Engine, PanelTask, solve_panel_task
 from repro.engine.signature import panel_signature
+from repro.service.scenarios import generate_scenario
 from repro.sino.anneal import (
-    ANNEAL_FAST_DIVISOR,
     EFFORT_LEVELS,
     AnnealConfig,
     anneal_sino,
@@ -218,24 +218,19 @@ class TestMultiChain:
 
 class TestEffortLevels:
     def test_effort_levels_constant(self):
-        assert EFFORT_LEVELS == (
-            "greedy",
-            "anneal",
-            "anneal-fast",
-            "anneal-batched",
-            "portfolio",
-        )
+        assert EFFORT_LEVELS == ("greedy", "anneal", "portfolio")
 
-    def test_anneal_fast_runs_quarter_schedule_and_stays_valid(self):
-        problem = make_random_sino_problem(8, 0.5, 0.9, seed=10)
-        config = AnnealConfig(iterations=400, seed=1)
-        fast = solve_min_area_sino(problem, effort="anneal-fast", config=config)
-        quarter = anneal_sino(
-            problem,
-            config=AnnealConfig(iterations=400 // ANNEAL_FAST_DIVISOR, seed=1),
-        )
-        assert fast.layout == quarter.layout
-        assert fast.is_valid()
+    def test_dense_bus_tasks_run_the_375_move_reference_schedule(self):
+        # The scenario that used the retired quarter-length effort keeps its
+        # layouts: a 375-move width-1 chain, seed for seed the oracle's.
+        tasks = generate_scenario("dense-bus")
+        assert tasks and all(task.effort == "anneal" for task in tasks)
+        for task in tasks:
+            _, solution = solve_panel_task(task)
+            oracle = anneal_sino_reference(
+                task.problem, config=AnnealConfig(iterations=375, seed=task.seed)
+            )
+            assert solution.layout == oracle.layout
 
     def test_portfolio_never_worse_than_greedy(self):
         problem = make_random_sino_problem(10, 0.5, 0.8, seed=14)
