@@ -205,6 +205,8 @@ def refine_stage(routing_artifact: str, panels_artifact: str) -> Stage:
         compute=compute,
         encode=encode,
         decode=decode,
+        # 2: panel ties broken in sorted direction order, not string-hash order.
+        version=2,
     )
 
 

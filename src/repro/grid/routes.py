@@ -97,14 +97,20 @@ class RouteTree:
         """Total physical wire length (um) of the route."""
         return sum(grid.edge_length(a, b) for a, b in self.edges)
 
-    def direction_usage(self, grid: RoutingGrid) -> Dict[RegionCoord, Set[str]]:
-        """Which directions (horizontal / vertical) the net uses in each region."""
+    def direction_usage(self, grid: RoutingGrid) -> Dict[RegionCoord, Tuple[str, ...]]:
+        """Which directions (horizontal / vertical) the net uses in each region.
+
+        Each region's directions come in sorted order, never in the order of
+        a set of strings: that order follows the per-process string hash
+        seed, and callers that break ties by position (Phase III picks the
+        least dense panel of a net) would otherwise differ between processes.
+        """
         usage: Dict[RegionCoord, Set[str]] = {}
         for coord_a, coord_b in self.edges:
             direction = grid.edge_direction(coord_a, coord_b)
             for coord in (coord_a, coord_b):
                 usage.setdefault(coord, set()).add(direction)
-        return usage
+        return {coord: tuple(sorted(directions)) for coord, directions in usage.items()}
 
     def region_lengths_um(self, grid: RoutingGrid) -> Dict[RegionCoord, float]:
         """Length of the net inside each region it crosses (``l_j`` of the LSK model).
@@ -204,7 +210,7 @@ class RoutingSolution:
         present: List[int] = []
         for net_id in sorted(self.routes):
             usage = self.routes[net_id].direction_usage(self.grid)
-            if direction in usage.get(coord, set()):
+            if direction in usage.get(coord, ()):
                 present.append(net_id)
         return present
 

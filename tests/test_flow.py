@@ -506,6 +506,50 @@ class TestSpeculativePhase3:
         )
 
 
+# Run in a child process so the string hash seed can be fixed per run.  The
+# instance has a Phase III step whose candidate panels tie on density.
+_HASH_SEED_SCRIPT = """
+import hashlib
+from repro.bench.ibm import generate_circuit
+from repro.engine.panels import Engine
+from repro.flow.flows import build_context, run_flow
+from repro.gsino.config import GsinoConfig
+circuit = generate_circuit("ibm01", sensitivity_rate=0.1, scale=0.04, seed=2450797209)
+config = GsinoConfig(length_scale=0.04 ** -0.5)
+result = run_flow("gsino", build_context(circuit.grid, circuit.netlist, config, Engine()))
+digest = hashlib.sha256()
+for key in sorted(result.panels):
+    digest.update(repr((key, tuple(result.panels[key].layout))).encode())
+print(digest.hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_gsino_panels_do_not_depend_on_string_hash_seed(self):
+        """Phase III breaks density ties by panel position, so a region's
+        directions must not come in per-process string-hash order."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            completed = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            digests.add(completed.stdout.strip())
+        assert len(digests) == 1, digests
+
+
 class TestInstanceConstruction:
     def test_instance_generated_once_per_comparison(self, monkeypatch):
         import repro.analysis.experiments as experiments

@@ -72,9 +72,9 @@ class TestRouteTree:
 
     def test_direction_usage(self, grid, l_route):
         usage = l_route.direction_usage(grid)
-        assert usage[(0, 0)] == {HORIZONTAL}
-        assert usage[(1, 0)] == {HORIZONTAL, VERTICAL}
-        assert usage[(1, 1)] == {VERTICAL}
+        assert usage[(0, 0)] == (HORIZONTAL,)
+        assert usage[(1, 0)] == (HORIZONTAL, VERTICAL)
+        assert usage[(1, 1)] == (VERTICAL,)
 
     def test_region_lengths_sum_to_wirelength(self, grid, l_route):
         lengths = l_route.region_lengths_um(grid)
