@@ -194,14 +194,8 @@ def instance_token(grid: "RoutingGrid", netlist: "Netlist") -> str:
         net = netlist.net(net_id)
         pins = ";".join(f"{_float_token(pin.x)}:{_float_token(pin.y)}" for pin in net.pins)
         net_parts.append(f"{net_id}@{pins}")
-    sensitivity = netlist.local_sensitivity_map(net_ids)
-    pairs = sorted(
-        {
-            (min(net_id, other), max(net_id, other))
-            for net_id, others in sensitivity.items()
-            for other in others
-        }
-    )
+    # net_ids is sorted, so the pairs come out as (low, high) in order.
+    pairs = netlist.sensitivity.sensitive_pairs(net_ids)
     token = "|".join(
         (
             f"sv{STAGE_SIGNATURE_VERSION}",

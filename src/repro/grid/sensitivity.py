@@ -15,12 +15,25 @@ provided:
 * :class:`RandomPairwiseSensitivity` — a deterministic hash of the net-id
   pair decides sensitivity, so arbitrarily large netlists cost O(1) memory
   (used by the IBM-style benchmark generator).
+
+Both consumers of a whole group — per-panel maps and the instance token —
+go through :meth:`SensitivityOracle.sensitive_pairs`.  The base class keeps
+the scalar double loop as the reference; the random oracle hashes blocks of
+at most :data:`PAIR_BLOCK` pairs in numpy and returns the same pairs in the
+same order.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Iterable, Mapping, Set
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+
+import numpy as np
+
+#: Most net pairs :class:`RandomPairwiseSensitivity` hashes in one numpy
+#: block.  Bounds the temporary arrays of a whole-netlist call to a few
+#: hundred kB instead of growing with the square of the net count.
+PAIR_BLOCK = 4096
 
 
 class SensitivityOracle(ABC):
@@ -42,19 +55,35 @@ class SensitivityOracle(ABC):
             if candidate != net_id and self.are_sensitive(net_id, candidate)
         }
 
+    def sensitive_pairs(self, ids: Iterable[int]) -> List[Tuple[int, int]]:
+        """Every sensitive pair of a group of nets, in double-loop order.
+
+        ``ids`` is de-duplicated in first-seen order; the result holds
+        ``(ids[i], ids[j])`` for each sensitive ``i < j``, ordered by ``i``
+        and then ``j``.  This scalar loop is the reference every override
+        must reproduce exactly, order included.
+        """
+        ids = list(dict.fromkeys(ids))
+        return [
+            (net_a, net_b)
+            for index, net_a in enumerate(ids)
+            for net_b in ids[index + 1:]
+            if self.are_sensitive(net_a, net_b)
+        ]
+
     def local_sensitivity_map(self, net_ids: Iterable[int]) -> Dict[int, Set[int]]:
         """Pairwise sensitivity restricted to a group of nets.
 
         This is what per-region SINO needs: the relation among the nets that
-        actually share the region.
+        actually share the region.  Each aggressor set is filled in
+        :meth:`sensitive_pairs` order, so its iteration order — which greedy
+        SINO's sums follow — is fixed by the oracle, not by the caller.
         """
         ids = list(dict.fromkeys(net_ids))
         mapping: Dict[int, Set[int]] = {net_id: set() for net_id in ids}
-        for index, net_a in enumerate(ids):
-            for net_b in ids[index + 1:]:
-                if self.are_sensitive(net_a, net_b):
-                    mapping[net_a].add(net_b)
-                    mapping[net_b].add(net_a)
+        for net_a, net_b in self.sensitive_pairs(ids):
+            mapping[net_a].add(net_b)
+            mapping[net_b].add(net_a)
         return mapping
 
 
@@ -133,7 +162,60 @@ class RandomPairwiseSensitivity(SensitivityOracle):
             return False
         return self._pair_value(net_a, net_b) < self.rate
 
+    def sensitive_pairs(self, ids: Iterable[int]) -> List[Tuple[int, int]]:
+        """The scalar reference's pairs, hashed in numpy blocks of whole rows.
+
+        ``uint64`` arithmetic wraps exactly where :meth:`_mix` masks, and the
+        float conversion rounds as ``int / float`` does, so every pair gets
+        the bit-identical verdict of :meth:`are_sensitive`.
+        """
+        ids = list(dict.fromkeys(ids))
+        if ids and not 0 <= min(ids) <= max(ids) <= self._MASK:
+            return super().sensitive_pairs(ids)
+        values = np.array(ids, dtype=np.uint64)
+        seed = np.uint64(self._mix(self.seed))
+        row_lengths = np.arange(len(ids) - 1, 0, -1)
+        row_ends = np.cumsum(row_lengths)
+        pairs: List[Tuple[int, int]] = []
+        row = 0
+        while row < len(row_lengths):
+            # Whole rows up to PAIR_BLOCK pairs; a longer row goes alone.
+            limit = row_ends[row] - row_lengths[row] + PAIR_BLOCK
+            stop = max(row + 1, int(np.searchsorted(row_ends, limit, side="right")))
+            lengths = row_lengths[row:stop]
+            starts = np.cumsum(lengths) - lengths
+            rows = np.arange(row, stop)
+            left = np.repeat(rows, lengths)
+            right = np.arange(int(lengths.sum())) + np.repeat(rows + 1 - starts, lengths)
+            low = np.minimum(values[left], values[right])
+            high = np.maximum(values[left], values[right])
+            mixed = _mix_block((low << _SHIFT_32) ^ high ^ seed)
+            hits = np.flatnonzero(mixed.astype(np.float64) / _TWO_64 < self.rate)
+            pairs.extend(
+                (ids[a], ids[b]) for a, b in zip(left[hits].tolist(), right[hits].tolist())
+            )
+            row = stop
+        return pairs
+
     def rate_of(self, net_id: int, num_nets: int) -> float:
         # The expected rate equals the nominal rate; using the expectation
         # keeps full-chip budgeting O(1) per net.
         return self.rate
+
+
+# numpy scalars, not Python ints: numpy 1.x promotes uint64 mixed with a
+# Python int to float64, which would silently lose the low bits.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_32 = (np.uint64(bits) for bits in (27, 30, 31, 32))
+_TWO_64 = float(1 << 64)
+
+
+def _mix_block(values: np.ndarray) -> np.ndarray:
+    """:meth:`RandomPairwiseSensitivity._mix` over a ``uint64`` array."""
+    with np.errstate(over="ignore"):
+        values = values + _GOLDEN
+        values = (values ^ (values >> _SHIFT_30)) * _MUL_1
+        values = (values ^ (values >> _SHIFT_27)) * _MUL_2
+        return values ^ (values >> _SHIFT_31)

@@ -56,6 +56,8 @@ from repro.flow.runner import FlowRunner
 from repro.gsino.budgeting import compute_budgets
 from repro.gsino.config import GsinoConfig
 from repro.gsino.pipeline import compare_flows, run_gsino
+from repro.grid.nets import Net, Netlist, Pin
+from repro.grid.regions import RoutingGrid
 from repro.gsino.reference import (
     reference_compare_flows,
     reference_run_gsino,
@@ -287,6 +289,37 @@ class TestSignatures:
         other = generate_circuit("ibm01", sensitivity_rate=0.3, scale=SCALE, seed=12)
         assert instance_token(flow_circuit.grid, flow_circuit.netlist) != instance_token(
             other.grid, other.netlist
+        )
+
+    # Recorded before the sensitivity relation was hashed in numpy blocks:
+    # persisted stage artifacts stay valid only while these never change.
+    @pytest.mark.parametrize(
+        "rate, token",
+        [
+            (0.1, "6643507734a8f0abe2bf2f9457f53c53a58895e28d91dc0394610ad5cb919e10"),
+            (0.5, "eaa1750c6148bdd3217272d9476097eaa946c8fe64f6ab8cf8ed00f0cb42b1f9"),
+        ],
+    )
+    def test_instance_token_pinned_for_generated_circuit(self, rate, token):
+        circuit = generate_circuit("ibm01", sensitivity_rate=rate, scale=SCALE, seed=11)
+        assert instance_token(circuit.grid, circuit.netlist) == token
+
+    def test_instance_token_pinned_for_explicit_sensitivity(self):
+        grid = RoutingGrid(
+            num_cols=3,
+            num_rows=2,
+            chip_width=300.0,
+            chip_height=200.0,
+            horizontal_capacity=6,
+            vertical_capacity=5,
+        )
+        nets = [
+            Net(index, (Pin(10.0 + 40 * index, 20.0), Pin(250.0 - 30 * index, 150.0 + 0.5 * index)))
+            for index in range(5)
+        ]
+        netlist = Netlist(nets, {0: {2, 4}, 1: {3}, 3: {4}})
+        assert instance_token(grid, netlist) == (
+            "84a69b99017400dd4fc1fa3c6d6d945eff6aff64ee0629c3266505450ffae460"
         )
 
     def test_stage_signature_covers_every_field(self):

@@ -1,5 +1,7 @@
 """Tests for the routing grid, nets, sensitivity oracles and Steiner estimates."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 
 from repro.grid.nets import Net, Netlist, Pin
 from repro.grid.regions import HORIZONTAL, VERTICAL, Region, RoutingGrid
+from repro.grid import sensitivity as sensitivity_module
 from repro.grid.sensitivity import (
+    PAIR_BLOCK,
     ExplicitSensitivity,
     RandomPairwiseSensitivity,
+    SensitivityOracle,
 )
 from repro.grid.steiner import hpwl, prim_steiner_length, rsmt_length_estimate, steiner_ratio
 
@@ -221,6 +226,84 @@ class TestSensitivityOracles:
         for net, others in local.items():
             for other in others:
                 assert net in local[other]
+
+
+def _scalar_map(oracle, ids):
+    """The per-pair double loop every group query must reproduce exactly."""
+    ids = list(dict.fromkeys(ids))
+    mapping = {net_id: set() for net_id in ids}
+    for index, net_a in enumerate(ids):
+        for net_b in ids[index + 1 :]:
+            if oracle.are_sensitive(net_a, net_b):
+                mapping[net_a].add(net_b)
+                mapping[net_b].add(net_a)
+    return mapping
+
+
+def _in_order(mapping):
+    """A map with each aggressor set in its iteration order."""
+    return [(net_id, list(others)) for net_id, others in mapping.items()]
+
+
+def _assert_matches_scalar(oracle, ids):
+    assert oracle.sensitive_pairs(ids) == SensitivityOracle.sensitive_pairs(oracle, ids)
+    assert _in_order(oracle.local_sensitivity_map(ids)) == _in_order(_scalar_map(oracle, ids))
+
+
+_NET_IDS = st.one_of(
+    st.integers(0, 300),
+    st.integers(2**32 - 40, 2**32 + 40),
+    st.integers(2**64 - 40, 2**64 - 1),
+)
+_RATES = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 0.5]), st.floats(0.0, 1.0))
+_SEEDS = st.integers(-(2**70), 2**70)
+
+
+class TestBlockedPairHash:
+    """The numpy block hash against the scalar per-pair oracle, order included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ids=st.lists(_NET_IDS, max_size=80),
+        rate=_RATES,
+        seed=_SEEDS,
+        block=st.sampled_from([1, 2, 7, 64, PAIR_BLOCK]),
+    )
+    def test_matches_scalar_oracle(self, ids, rate, seed, block):
+        oracle = RandomPairwiseSensitivity(rate=rate, seed=seed)
+        with mock.patch.object(sensitivity_module, "PAIR_BLOCK", block):
+            _assert_matches_scalar(oracle, ids)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ids=st.lists(_NET_IDS, max_size=30),
+        outsider=st.one_of(st.integers(2**64, 2**70), st.integers(-(2**40), -1)),
+        position=st.integers(0, 30),
+        rate=_RATES,
+    )
+    def test_ids_outside_uint64_take_the_scalar_path(self, ids, outsider, position, rate):
+        ids.insert(min(position, len(ids)), outsider)
+        _assert_matches_scalar(RandomPairwiseSensitivity(rate=rate, seed=5), ids)
+
+    @pytest.mark.parametrize("size", [2, 91, 92, 150])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    def test_group_sizes_around_the_block_boundary(self, size, rate):
+        # 91 nets hold 4095 pairs (one block); 92 hold 4186 (two blocks).
+        ids = [(index * 7919) % 1009 for index in range(size)]
+        _assert_matches_scalar(RandomPairwiseSensitivity(rate=rate, seed=11), ids)
+
+    def test_uint64_to_float_rounds_like_python(self):
+        # The verdict compares the hash as a float; numpy's conversion must
+        # round exactly as Python's int -> float does, ties included.
+        edges = [2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63 + 1025, 2**63 + 3072, 2**64 - 1]
+        edges += [2**64 - 1024, 2**64 - 1025, 2**64 - 2048, 2**64 - 3073]
+        converted = np.array(edges, dtype=np.uint64).astype(np.float64).tolist()
+        assert converted == [float(value) for value in edges]
+
+    def test_explicit_oracle_uses_the_scalar_loop(self):
+        oracle = ExplicitSensitivity({0: {2, 4}, 1: {3}, 3: {4}})
+        assert oracle.sensitive_pairs([4, 3, 2, 1, 0, 3]) == [(4, 3), (4, 0), (3, 1), (2, 0)]
+        _assert_matches_scalar(oracle, [4, 3, 2, 1, 0, 3])
 
 
 class TestSteiner:
