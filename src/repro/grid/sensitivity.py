@@ -36,6 +36,24 @@ import numpy as np
 PAIR_BLOCK = 4096
 
 
+# numpy scalars, not Python ints: numpy 1.x promotes uint64 mixed with a
+# Python int to float64, which would silently lose the low bits.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_32 = (np.uint64(bits) for bits in (27, 30, 31, 32))
+_TWO_64 = float(1 << 64)
+
+
+def _mix_block(values: np.ndarray) -> np.ndarray:
+    """:meth:`RandomPairwiseSensitivity._mix` over a ``uint64`` array."""
+    with np.errstate(over="ignore"):
+        values = values + _GOLDEN
+        values = (values ^ (values >> _SHIFT_30)) * _MUL_1
+        values = (values ^ (values >> _SHIFT_27)) * _MUL_2
+        return values ^ (values >> _SHIFT_31)
+
+
 class SensitivityOracle(ABC):
     """Query interface for the pairwise sensitivity relation."""
 
@@ -67,7 +85,7 @@ class SensitivityOracle(ABC):
         return [
             (net_a, net_b)
             for index, net_a in enumerate(ids)
-            for net_b in ids[index + 1:]
+            for net_b in ids[index + 1 :]
             if self.are_sensitive(net_a, net_b)
         ]
 
@@ -187,8 +205,8 @@ class RandomPairwiseSensitivity(SensitivityOracle):
             rows = np.arange(row, stop)
             left = np.repeat(rows, lengths)
             right = np.arange(int(lengths.sum())) + np.repeat(rows + 1 - starts, lengths)
-            low = np.minimum(values[left], values[right])
-            high = np.maximum(values[left], values[right])
+            first, second = values[left], values[right]
+            low, high = np.minimum(first, second), np.maximum(first, second)
             mixed = _mix_block((low << _SHIFT_32) ^ high ^ seed)
             hits = np.flatnonzero(mixed.astype(np.float64) / _TWO_64 < self.rate)
             pairs.extend(
@@ -201,21 +219,3 @@ class RandomPairwiseSensitivity(SensitivityOracle):
         # The expected rate equals the nominal rate; using the expectation
         # keeps full-chip budgeting O(1) per net.
         return self.rate
-
-
-# numpy scalars, not Python ints: numpy 1.x promotes uint64 mixed with a
-# Python int to float64, which would silently lose the low bits.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL_2 = np.uint64(0x94D049BB133111EB)
-_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_32 = (np.uint64(bits) for bits in (27, 30, 31, 32))
-_TWO_64 = float(1 << 64)
-
-
-def _mix_block(values: np.ndarray) -> np.ndarray:
-    """:meth:`RandomPairwiseSensitivity._mix` over a ``uint64`` array."""
-    with np.errstate(over="ignore"):
-        values = values + _GOLDEN
-        values = (values ^ (values >> _SHIFT_30)) * _MUL_1
-        values = (values ^ (values >> _SHIFT_27)) * _MUL_2
-        return values ^ (values >> _SHIFT_31)

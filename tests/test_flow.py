@@ -291,8 +291,8 @@ class TestSignatures:
             other.grid, other.netlist
         )
 
-    # Recorded before the sensitivity relation was hashed in numpy blocks:
-    # persisted stage artifacts stay valid only while these never change.
+    # Golden tokens: stage artifacts already persisted under signature
+    # version 2 stay valid only while these never change.
     @pytest.mark.parametrize(
         "rate, token",
         [
