@@ -21,7 +21,6 @@ from repro.noise.keff import (
     PanelOccupant,
     coupling_coefficient,
     panel_couplings,
-    panel_couplings_fast,
     total_coupling,
 )
 from repro.noise.lsk import (
@@ -38,7 +37,6 @@ __all__ = [
     "PanelOccupant",
     "coupling_coefficient",
     "panel_couplings",
-    "panel_couplings_fast",
     "total_coupling",
     "LskTable",
     "LskModel",

@@ -63,38 +63,41 @@ class _ResourceDemand:
         if self.num_nets < 0:
             raise RuntimeError("resource demand went negative; internal accounting error")
 
-    def shield_estimate(self, estimator: Optional[ShieldEstimator]) -> float:
-        """Formula 3 evaluated on the running sums (0 when reservation is off)."""
-        if estimator is None or self.num_nets == 0:
+    def shield_estimate(self, coefficients: Optional[Tuple[float, ...]]) -> float:
+        """Formula 3 evaluated on the running sums (0 when reservation is off).
+
+        ``coefficients`` are the estimator's ``a1 .. a6`` as Python floats
+        (see :meth:`Formula3Coefficients.as_tuple`), or ``None``.
+        """
+        if coefficients is None or self.num_nets == 0:
             return 0.0
+        a1, a2, a3, a4, a5, a6 = coefficients
         n = float(self.num_nets)
-        features = (
-            self.sum_rates_sq,
-            self.sum_rates_sq / n,
-            self.sum_rates,
-            self.sum_rates / n,
-            n,
-            1.0,
+        value = (
+            self.sum_rates_sq * a1
+            + self.sum_rates_sq / n * a2
+            + self.sum_rates * a3
+            + self.sum_rates / n * a4
+            + n * a5
+            + a6
         )
-        coefficients = estimator.coefficients.as_array()
-        value = float(sum(f * c for f, c in zip(features, coefficients)))
         return max(value, 0.0)
 
-    def utilization(self, estimator: Optional[ShieldEstimator]) -> float:
+    def utilization(self, coefficients: Optional[Tuple[float, ...]]) -> float:
         """``HU = Nns + Nss``."""
-        return self.num_nets + self.shield_estimate(estimator)
+        return self.num_nets + self.shield_estimate(coefficients)
 
-    def density(self, estimator: Optional[ShieldEstimator]) -> float:
+    def density(self, coefficients: Optional[Tuple[float, ...]]) -> float:
         """``HD = HU / HC``."""
         if self.capacity <= 0:
             return 0.0
-        return self.utilization(estimator) / self.capacity
+        return self.utilization(coefficients) / self.capacity
 
-    def relative_overflow(self, estimator: Optional[ShieldEstimator]) -> float:
+    def relative_overflow(self, coefficients: Optional[Tuple[float, ...]]) -> float:
         """``HOFR = max(0, HU - HC) / HC``."""
         if self.capacity <= 0:
             return 0.0
-        return max(0.0, self.utilization(estimator) - self.capacity) / self.capacity
+        return max(0.0, self.utilization(coefficients) - self.capacity) / self.capacity
 
 
 @dataclass
@@ -131,6 +134,9 @@ class IterativeDeletionRouter:
             self.estimator: Optional[ShieldEstimator] = shield_estimator or default_shield_estimator()
         else:
             self.estimator = None
+        self._coefficients = (
+            None if self.estimator is None else self.estimator.coefficients.as_tuple()
+        )
 
         self._graphs: Dict[int, ConnectionGraph] = {}
         self._demand: Dict[ResourceKey, _ResourceDemand] = {}
@@ -181,10 +187,10 @@ class IterativeDeletionRouter:
         key_a, key_b = self._edge_resources(edge)
         resource_a = self._resource(key_a)
         resource_b = self._resource(key_b)
-        density = (resource_a.density(self.estimator) + resource_b.density(self.estimator)) / 2.0
+        coefficients = self._coefficients
+        density = (resource_a.density(coefficients) + resource_b.density(coefficients)) / 2.0
         overflow = (
-            resource_a.relative_overflow(self.estimator)
-            + resource_b.relative_overflow(self.estimator)
+            resource_a.relative_overflow(coefficients) + resource_b.relative_overflow(coefficients)
         ) / 2.0
         return edge_weight(self.config, normalized_length, density, overflow)
 

@@ -43,7 +43,11 @@ class Formula3Coefficients:
 
     def as_array(self) -> np.ndarray:
         """Coefficients as a length-6 vector (same order as the formula)."""
-        return np.array([self.a1, self.a2, self.a3, self.a4, self.a5, self.a6])
+        return np.array(self.as_tuple())
+
+    def as_tuple(self) -> Tuple[float, ...]:
+        """Coefficients as six Python floats (same order as the formula)."""
+        return tuple(float(a) for a in (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6))
 
 
 def formula3_features(sensitivity_rates: Sequence[float]) -> np.ndarray:

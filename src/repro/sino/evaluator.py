@@ -6,9 +6,8 @@ search.  The sensitivity structure never changes between those evaluations,
 so this evaluator precomputes it once as a dense numpy matrix and evaluates a
 layout's couplings with pure array arithmetic.
 
-The values are identical to :func:`repro.noise.keff.panel_couplings`; the
-test suite cross-checks the three implementations (scalar reference,
-vectorised, evaluator).
+The values are identical to :func:`repro.noise.keff.panel_couplings`, the
+scalar reference; the test suite cross-checks the two.
 """
 
 from __future__ import annotations
@@ -91,12 +90,12 @@ class PanelEvaluator:
             raise ValueError(f"layout is missing segments {missing}")
         return positions, np.array(sorted(shield_tracks))
 
-    def coupling_vector(self, layout: Sequence[Optional[int]]) -> np.ndarray:
-        """``K_i`` for every segment, in the evaluator's segment order."""
-        positions, shield_tracks = self.layout_arrays(layout)
+    def pair_terms(
+        self, positions: np.ndarray, shield_tracks: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pairwise track distance, shields strictly between each pair, and
+        whether each segment has a shield on a neighbouring track."""
         n = positions.size
-        if n == 0:
-            return np.zeros(0)
         distance = np.abs(positions[:, None] - positions[None, :])
         if shield_tracks.size:
             high = np.maximum(positions[:, None], positions[None, :])
@@ -110,17 +109,29 @@ class PanelEvaluator:
         else:
             shields_between = np.zeros((n, n), dtype=int)
             adjacent_shield = np.zeros(n, dtype=bool)
+        return distance, shields_between, adjacent_shield
+
+    def pair_coupling(self, distance: np.ndarray, shields_between: np.ndarray) -> np.ndarray:
+        """``K_ij`` of every sensitive pair before the adjacent-shield bonus
+        (0 for insensitive pairs and on the diagonal)."""
         model = self.keff_model
         with np.errstate(divide="ignore", invalid="ignore"):
-            coupling = np.where(
+            return np.where(
                 self._sensitive & (distance > 0),
                 1.0
                 / np.power(np.maximum(distance, 1.0), model.distance_exponent)
                 / np.power(model.shield_attenuation, shields_between),
                 0.0,
             )
-        totals = coupling.sum(axis=1)
-        totals[adjacent_shield] /= model.adjacent_shield_bonus
+
+    def coupling_vector(self, layout: Sequence[Optional[int]]) -> np.ndarray:
+        """``K_i`` for every segment, in the evaluator's segment order."""
+        positions, shield_tracks = self.layout_arrays(layout)
+        if positions.size == 0:
+            return np.zeros(0)
+        distance, shields_between, adjacent_shield = self.pair_terms(positions, shield_tracks)
+        totals = self.pair_coupling(distance, shields_between).sum(axis=1)
+        totals[adjacent_shield] /= self.keff_model.adjacent_shield_bonus
         return totals
 
     def couplings(self, layout: Sequence[Optional[int]]) -> Dict[int, float]:

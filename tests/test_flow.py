@@ -10,6 +10,7 @@ flow scenarios in the service layer, and the ``repro flows`` CLI verb.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -581,6 +582,41 @@ class TestHashSeedIndependence:
             )
             digests.add(completed.stdout.strip())
         assert len(digests) == 1, digests
+
+
+def _compare_digest(outcome):
+    """sha256 over each flow's name, metric summary and every panel layout
+    (the digest perfbench's compare workloads record)."""
+    digest = hashlib.sha256()
+    for flow in sorted(outcome.results):
+        result = outcome.results[flow]
+        digest.update(flow.encode())
+        digest.update(json.dumps(result.metrics.summary(), sort_keys=True).encode())
+        for key in sorted(result.panels):
+            digest.update(repr((key, tuple(result.panels[key].layout))).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedCompareDigests:
+    """Whole-compare layouts and metrics of cold ``run_compare`` runs on
+    ibm01 at scale 0.03, pinned: a solver speed-up must not move them."""
+
+    @pytest.mark.parametrize(
+        "rate, seed, expected",
+        [
+            (0.1, 7, "cc845742ca052b215b94bc209f3cb6122b11728b3f5486bc0a89b813d2450e56"),
+            (0.1, 11, "da7ad7bb1b15c45a08a6350cbe46b02202442de4b8c28b53ea53036bd9ad19fd"),
+            (0.5, 7, "581f5e2122ec73af1d2785d9210ba7671211091194747a028bfa33dfa3cafc96"),
+            (0.5, 11, "0413490178713ee0f43904d8d41509787b0b75fa9bbfd394a7697685bc0b5bfd"),
+        ],
+    )
+    def test_compare_digest_pinned(self, rate, seed, expected):
+        scale = 0.03
+        circuit = generate_circuit("ibm01", sensitivity_rate=rate, scale=scale, seed=seed)
+        config = GsinoConfig(length_scale=1.0 / scale**0.5)
+        engine = Engine(cache=SolutionCache())
+        context = build_context(circuit.grid, circuit.netlist, config, engine)
+        assert _compare_digest(run_compare(context)) == expected
 
 
 class TestInstanceConstruction:

@@ -12,9 +12,9 @@ from repro.noise.keff import (
     capacitive_violations,
     coupling_coefficient,
     panel_couplings,
-    panel_couplings_fast,
     total_coupling,
 )
+from repro.sino.evaluator import PanelEvaluator
 
 
 class TestCouplingCoefficient:
@@ -156,13 +156,32 @@ def random_panel(draw):
     return occupants, sensitivity
 
 
+def _evaluator_couplings(occupants, sensitivity):
+    """``PanelEvaluator.couplings`` of a panel whose occupants fill tracks
+    ``0 .. n-1`` (the shape :func:`random_panel` draws)."""
+    layout = [occupant.net_id for occupant in sorted(occupants, key=lambda o: o.track)]
+    segments = [net_id for net_id in layout if net_id is not None]
+    pairs = [(net_id, other) for net_id, others in sensitivity.items() for other in others]
+    return PanelEvaluator(segments, pairs, DEFAULT_KEFF_MODEL).couplings(layout)
+
+
+def _symmetric(sensitivity):
+    """The symmetric closure the SINO solvers (and the evaluator) work on."""
+    closure = {net_id: set(others) for net_id, others in sensitivity.items()}
+    for net_id, others in sensitivity.items():
+        for other in others:
+            closure.setdefault(other, set()).add(net_id)
+    return closure
+
+
 class TestFastEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(random_panel())
     def test_fast_matches_reference(self, panel):
         occupants, sensitivity = panel
+        sensitivity = _symmetric(sensitivity)
         reference = panel_couplings(occupants, sensitivity)
-        fast = panel_couplings_fast(occupants, sensitivity)
+        fast = _evaluator_couplings(occupants, sensitivity)
         assert set(reference) == set(fast)
         for net_id, value in reference.items():
             assert fast[net_id] == pytest.approx(value, abs=1e-12)
@@ -171,5 +190,5 @@ class TestFastEquivalence:
     @given(random_panel())
     def test_couplings_are_non_negative(self, panel):
         occupants, sensitivity = panel
-        for value in panel_couplings_fast(occupants, sensitivity).values():
+        for value in _evaluator_couplings(occupants, sensitivity).values():
             assert value >= 0.0

@@ -1,5 +1,6 @@
 """Tests for the greedy / annealing SINO solvers and the NO baseline."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from repro.sino.anneal import AnnealConfig, anneal_sino, solution_cost, solve_min_area_sino
 from repro.sino.checker import assert_valid, check_solution
 from repro.sino.greedy import (
+    _best_shield_gap,
     fix_inductive_violations,
     greedy_order,
     greedy_sino,
@@ -16,6 +18,11 @@ from repro.sino.net_ordering import net_ordering_only
 from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
 
 from tests.conftest import make_random_sino_problem
+from tests.greedy_oracle import (
+    reference_best_shield_gap,
+    reference_greedy_order,
+    reference_greedy_sino,
+)
 
 
 class TestGreedyOrder:
@@ -76,6 +83,77 @@ class TestGreedySino:
         start = SinoSolution(problem=problem, layout=list(problem.segments))
         fixed = fix_inductive_violations(start, max_extra_shields=1)
         assert fixed.num_shields <= 1
+
+
+@st.composite
+def panel_with_layout(draw):
+    """A random panel (2-40 segments, sensitivity rate 0.1-0.9, per-segment
+    Kth from a small set so ties happen) and a layout of it with shields
+    already placed, edge and doubled shields included."""
+    num_segments = draw(st.integers(min_value=2, max_value=40))
+    rate = draw(st.floats(min_value=0.1, max_value=0.9))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    segments = [int(segment) for segment in rng.permutation(1000)[:num_segments]]
+    sensitivity = {segment: set() for segment in segments}
+    for i, first in enumerate(segments):
+        for second in segments[i + 1 :]:
+            if rng.random() < rate:
+                sensitivity[first].add(second)
+    levels = draw(st.lists(st.sampled_from([0.2, 0.5, 0.8, 1.0, 1.5, 3.0]), min_size=1, max_size=3))
+    kth = {segment: float(rng.choice(levels)) for segment in segments}
+    problem = SinoProblem.build(segments, sensitivity, kth=kth)
+    layout = [int(segment) for segment in rng.permutation(segments)]
+    for _ in range(draw(st.integers(min_value=0, max_value=num_segments))):
+        layout.insert(int(rng.integers(0, len(layout) + 1)), SHIELD)
+    return problem, layout
+
+
+class TestScreenedGreedyMatchesOracle:
+    """The closed-form gap screen and the matrix ordering choose exactly what
+    the per-gap loop and the list-based ordering choose."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(panel_with_layout())
+    def test_gap_choice_and_order_match_the_oracle(self, panel):
+        problem, layout = panel
+        evaluator = problem.evaluator()
+        choice = _best_shield_gap(evaluator, layout, evaluator.excess_vector(layout))
+        expected = reference_best_shield_gap(SinoSolution(problem=problem, layout=layout))
+        if expected is None:
+            assert choice is None
+        else:
+            gap, excess = choice
+            assert gap == expected
+            after = list(layout)
+            after.insert(gap, SHIELD)
+            assert np.array_equal(excess, evaluator.excess_vector(after))
+        assert greedy_order(problem) == reference_greedy_order(problem)
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel_with_layout())
+    def test_whole_construction_matches_the_oracle(self, panel):
+        problem, _layout = panel
+        assert greedy_sino(problem).layout == reference_greedy_sino(problem).layout
+
+    def test_no_gap_when_no_insertion_helps(self):
+        # Kth is out of reach: each shield cuts the coupling about fourfold
+        # until the gain drops under the 1e-12 improvement threshold.
+        problem = SinoProblem.build([0, 1], {0: {1}}, default_kth=1e-30)
+        evaluator = problem.evaluator()
+        fixed = fix_inductive_violations(
+            SinoSolution(problem=problem, layout=[0, SHIELD, 1]), max_extra_shields=100
+        )
+        assert fixed.num_shields < 100
+        assert evaluator.total_excess(fixed.layout) > 0.0
+        assert reference_best_shield_gap(fixed) is None
+        excess = evaluator.excess_vector(fixed.layout)
+        assert _best_shield_gap(evaluator, fixed.layout, excess) is None
+
+    def test_no_gap_when_every_bound_holds(self):
+        problem = SinoProblem.build([0, 1], {0: {1}}, default_kth=10.0)
+        evaluator = problem.evaluator()
+        assert _best_shield_gap(evaluator, [0, 1], evaluator.excess_vector([0, 1])) is None
 
 
 class TestNetOrderingBaseline:
