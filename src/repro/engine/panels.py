@@ -59,20 +59,18 @@ class PanelTask:
     effort:
         One of :data:`repro.sino.anneal.EFFORT_LEVELS` (``"greedy"``,
         ``"anneal"`` or ``"portfolio"``); forwarded to the SINO solver.  The
-        retired quarter-schedule and batched effort names are rejected; the
-        schedule length and the width are ``anneal`` fields now.
+        retired effort names are rejected; the schedule length is an
+        ``anneal`` field now.
     seed:
         Per-task seed of the stochastic annealing efforts.  ``None`` keeps
         the schedule's own seed (the serial reference behaviour).
     anneal:
         Annealing schedule override for the annealing efforts, including the
-        schedule length, the chain count of multi-chain search and the
-        batched evaluation width (``batch_k``, honoured by both ``anneal``
-        and ``portfolio``); ``None`` uses the solver's default schedule.
-        The effort, the chain count and the batch width are all part of the
-        task signature (``SIGNATURE_VERSION`` 4, so stores persisted under
-        version 3 re-solve once), and changing any of them can never reuse
-        a stale cached layout.
+        schedule length and the chain count of multi-chain search; ``None``
+        uses the solver's default schedule.  The effort and the whole
+        schedule are part of the task signature (``SIGNATURE_VERSION`` 5,
+        so stores persisted under an older version re-solve once), and
+        changing either can never reuse a stale cached layout.
     """
 
     key: PanelKey

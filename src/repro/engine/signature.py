@@ -23,9 +23,9 @@ A signature covers everything that can influence the solution:
 * the default bound and the track capacity,
 * the Keff model parameters,
 * the solver (``"sino"`` / ``"ordering"``), the effort level, the per-task
-  seed and the full annealing schedule including its chain count and batched
-  evaluation width — so raising ``AnnealConfig.chains``, changing ``batch_k``
-  or switching effort levels can never hit a stale cached layout.
+  seed and the full annealing schedule including its chain count — so
+  raising ``AnnealConfig.chains`` or switching effort levels can never hit a
+  stale cached layout.
 
 Phase III mutates bounds via :meth:`SinoProblem.with_bounds`; because the
 bounds are part of the signature, a tightened or relaxed panel can never hit
@@ -47,17 +47,20 @@ if TYPE_CHECKING:  # the grid layer sits below the engine; import only for types
 #: Signature scheme version; bump when the token layout changes so persisted
 #: caches (if any) cannot return solutions hashed under an older scheme.
 #: Version 2 added the chain count to the annealing-schedule token; version 3
-#: added the batched-evaluation width (``batch_k``); version 4 made that width
-#: binding under ``effort="anneal"`` (which used to ignore it), so version-3
-#: entries keyed ``anneal`` with ``batch_k=8`` hold width-1 layouts and must
-#: not be served.  Persisted stores re-solve once after each bump.
-SIGNATURE_VERSION = 4
+#: added the best-of-K evaluation width; version 4 made that width binding
+#: under ``effort="anneal"`` (which used to ignore it); version 5 dropped the
+#: width again, with the best-of-K search it selected.  Persisted stores
+#: re-solve once after each bump.
+SIGNATURE_VERSION = 5
 
 #: Version of the *stage* signature scheme (instance token + stage token
 #: layout).  Bump whenever either token layout changes so persisted stage
 #: artifacts hashed under an older scheme can never be restored.  Version 2
 #: rides along with panel ``SIGNATURE_VERSION`` 4: stage artifacts embed panel
-#: solutions solved under the old ``batch_k`` semantics.
+#: solutions solved under the old best-of-K semantics.  Panel version 5 needs
+#: no bump here: single-move layouts are unchanged, and a configured
+#: schedule's token no longer matches its old form, so such stage artifacts
+#: re-solve rather than alias.
 STAGE_SIGNATURE_VERSION = 2
 
 
@@ -122,7 +125,6 @@ def _anneal_token(anneal: Optional[AnnealConfig]) -> str:
             _float_token(anneal.overflow_weight),
             str(anneal.seed),
             str(anneal.chains),
-            str(anneal.batch_k),
         )
     )
 

@@ -49,16 +49,14 @@ class GsinoConfig:
         Effort level of every per-region SINO solve — one of
         :data:`repro.sino.anneal.EFFORT_LEVELS`: ``"greedy"``, ``"anneal"``
         or ``"portfolio"`` (greedy plus annealing chains, best feasible
-        wins).  The schedule length and the best-of-K width are ``anneal``
-        fields (``iterations``, ``batch_k``), not effort levels; the retired
-        quarter-schedule and batched effort names are rejected.
+        wins).  The schedule length is an ``anneal`` field
+        (``iterations``), not an effort level; the retired effort names are
+        rejected.
     anneal:
         Annealing schedule used by the annealing effort levels, including
-        the multi-chain count (``AnnealConfig.chains``) and the batched
-        evaluation width (``AnnealConfig.batch_k``, default 1 — the
-        reference-identical chain); ``None`` uses the solver's default
-        schedule.  Part of the panel cache key, so changing the schedule,
-        chain count or batch width never reuses stale solutions.
+        the multi-chain count (``AnnealConfig.chains``); ``None`` uses the
+        solver's default schedule.  Part of the panel cache key, so changing
+        the schedule or the chain count never reuses stale solutions.
     gsino_weights / baseline_weights:
         Formula 2 configurations for the GSINO router (shield reservation on)
         and the baseline router (reservation off), respectively.

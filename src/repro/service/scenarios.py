@@ -23,11 +23,10 @@ submissions produce identical panel/stage signatures and hit the result
 store.
 
 Effort overrides accept the three solver levels ``greedy`` / ``anneal`` /
-``portfolio``; the retired quarter-schedule and batched effort names fail
-parameter validation — at submit time, and when a worker regenerates a job
-already in a spool that still names them.  Schedule length and batch width
-are not effort levels any more: annealing tasks run
-:data:`SCENARIO_ANNEAL_ITERATIONS` moves, and ``batch_k`` sets the width.
+``portfolio``; retired effort names and parameters fail parameter validation
+— at submit time, and when a worker regenerates a job already in a spool
+that still names them.  Schedule length is not an effort level any more:
+annealing tasks run :data:`SCENARIO_ANNEAL_ITERATIONS` moves.
 """
 
 from __future__ import annotations
@@ -82,11 +81,11 @@ class ScenarioSpec:
         Region track capacity as a multiple of the segment count.  Values
         below ~1.3 leave no room for shields and create overflow pressure;
         0 disables the capacity limit entirely.
-    solver / effort / chains / batch_k:
+    solver / effort / chains:
         Forwarded to :class:`~repro.engine.panels.PanelTask`.  Tasks of the
         annealing efforts (``anneal`` / ``portfolio``) carry a
         :data:`SCENARIO_ANNEAL_ITERATIONS`-move schedule with this chain
-        count and batch width; ``greedy`` tasks carry none.
+        count; ``greedy`` tasks carry none.
     seed:
         Base seed; panel ``i`` derives its structure and task seed from it.
     """
@@ -104,7 +103,6 @@ class ScenarioSpec:
     solver: str = "sino"
     effort: str = "greedy"
     chains: int = 1
-    batch_k: int = 1
     seed: int = 2002
 
     def __post_init__(self) -> None:
@@ -127,8 +125,6 @@ class ScenarioSpec:
             raise ValueError(f"effort must be one of {EFFORT_LEVELS}, got {self.effort!r}")
         if self.chains < 1:
             raise ValueError(f"chains must be >= 1, got {self.chains}")
-        if self.batch_k < 1:
-            raise ValueError(f"batch_k must be >= 1, got {self.batch_k}")
         get_technology(self.technology)  # fail fast on unknown nodes
 
     def with_params(self, params: Dict[str, object]) -> "ScenarioSpec":
@@ -251,9 +247,7 @@ def generate_scenario(name: str, params: Dict[str, object] | None = None) -> Lis
     tasks: List[PanelTask] = []
     anneal = None
     if spec.effort != "greedy":
-        anneal = AnnealConfig(
-            iterations=SCENARIO_ANNEAL_ITERATIONS, chains=spec.chains, batch_k=spec.batch_k
-        )
+        anneal = AnnealConfig(iterations=SCENARIO_ANNEAL_ITERATIONS, chains=spec.chains)
     for index in range(spec.panels):
         count = rng.randint(spec.min_segments, spec.max_segments)
         segments = [index * 1000 + offset for offset in range(count)]

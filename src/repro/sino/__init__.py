@@ -11,12 +11,11 @@ a minimum number of shield wires on parallel tracks such that
 
 The problem is NP-hard, so this package provides a fast greedy constructor
 (:mod:`repro.sino.greedy`), a simulated-annealing improver
-(:mod:`repro.sino.anneal` — one chain loop whose width ``batch_k`` selects
-single-move or best-of-K batched proposals, behind the three effort levels
-``greedy`` / ``anneal`` / ``portfolio``), the net-ordering-only solver used
-by the ID+NO baseline (:mod:`repro.sino.net_ordering`), a solution checker
-(:mod:`repro.sino.checker`), and the closed-form shield-count estimator of
-Formula 3 (:mod:`repro.sino.estimate`).
+(:mod:`repro.sino.anneal` — one single-move chain loop behind the three
+effort levels ``greedy`` / ``anneal`` / ``portfolio``), the net-ordering-only
+solver used by the ID+NO baseline (:mod:`repro.sino.net_ordering`), a
+solution checker (:mod:`repro.sino.checker`), and the closed-form
+shield-count estimator of Formula 3 (:mod:`repro.sino.estimate`).
 """
 
 from repro.sino.panel import SinoProblem, SinoSolution

@@ -18,31 +18,23 @@ Two implementations share the move semantics and the RNG stream:
   :class:`~repro.sino.incremental.IncrementalPanelState`; each proposal is an
   O(affected rows) delta-cost update, and the compaction of accepted layouts
   is guarded by a cheap bound so non-improving moves skip it entirely.
-  ``AnnealConfig.batch_k`` sets its width: at 1 (the default) every step
-  proposes one move through the state itself; at K > 1 every step scores K
-  candidates in one vectorised pass
-  (:class:`~repro.sino.batched.BatchedMoveEvaluator`) and a quarter of the
-  budget goes to a deterministic endgame.
 * :func:`anneal_sino_reference` — the historic implementation that deep-copies
   the layout and re-evaluates the full scalar cost per proposal.  It is kept
-  as the correctness oracle: at ``batch_k=1`` both functions return
-  bit-identical layouts for every (problem, config) pair, which the test
-  suite asserts seed-for-seed.
+  as the correctness oracle: both functions return bit-identical layouts for
+  every (problem, config) pair, which the test suite asserts seed-for-seed.
 
 Effort levels (``solve_min_area_sino``, ``GsinoConfig.sino_effort``, and the
-CLI ``--effort`` / ``--chains`` / ``--batch-k`` flags) select how hard each
-panel is solved:
+CLI ``--effort`` / ``--chains`` flags) select how hard each panel is solved:
 
 * ``"greedy"`` — constructive heuristic only,
 * ``"anneal"`` — greedy + simulated annealing (``AnnealConfig.chains``
-  independent chains when > 1, each ``AnnealConfig.batch_k`` wide),
+  independent chains when > 1),
 * ``"portfolio"`` — the greedy solution plus ``chains`` annealing chains,
   reduced to the best feasible candidate.
 
-The schedule length and the batch width are :class:`AnnealConfig` fields,
-not effort levels: the retired quarter-schedule effort is
-``iterations=375`` and the retired batched effort is ``batch_k=8``; their
-names now fail effort validation like any unknown level.
+The schedule length is an :class:`AnnealConfig` field, not an effort level:
+the retired quarter-schedule effort is ``iterations=375``, and the retired
+names fail effort validation like any unknown level.
 
 Multi-chain search derives one seed per chain (chain 0 keeps the configured
 seed, so ``chains=1`` reproduces the single-chain results exactly) and can be
@@ -57,7 +49,6 @@ evaluation memo), while process backends receive the bundle through
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, replace
@@ -67,7 +58,6 @@ import numpy as np
 
 from repro.obs.metrics import process_registry
 from repro.obs.trace import active_tracer, maybe_span
-from repro.sino.batched import BatchedMoveEvaluator
 from repro.sino.greedy import greedy_sino
 from repro.sino.incremental import IncrementalPanelState, Move
 from repro.sino.panel import SHIELD, SinoProblem, SinoSolution
@@ -102,13 +92,6 @@ class AnnealConfig:
         itself (so ``chains=1`` is exactly the single-chain search); every
         further chain derives its own seed via :func:`derive_chain_seed`.
         The best feasible chain result wins.
-    batch_k:
-        Candidate moves :func:`anneal_sino` scores per temperature step.
-        ``iterations`` still counts total candidate evaluations, so any
-        ``batch_k`` does the same amount of evaluation work.  ``1`` (the
-        default) is the classic chain, bit-identical to
-        :func:`anneal_sino_reference`; K > 1 scores best-of-K and reserves
-        a quarter of the budget for the endgame.
     """
 
     iterations: int = 1500
@@ -120,7 +103,6 @@ class AnnealConfig:
     overflow_weight: float = 5.0
     seed: int = 0
     chains: int = 1
-    batch_k: int = 1
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -131,8 +113,6 @@ class AnnealConfig:
             raise ValueError("final_temperature must not exceed initial_temperature")
         if self.chains < 1:
             raise ValueError(f"chains must be >= 1, got {self.chains}")
-        if self.batch_k < 1:
-            raise ValueError(f"batch_k must be >= 1, got {self.batch_k}")
 
     def temperature_at(self, step: int) -> float:
         """Geometric cooling schedule evaluated at a step index."""
@@ -205,54 +185,6 @@ def _sample_move(state: IncrementalPanelState, rng: np.random.Generator) -> Move
         return Move.insert(gap)
 
 
-def _sample_moves(
-    state: IncrementalPanelState, rng: np.random.Generator, width: int
-) -> List[Move]:
-    """Vectorised draw of ``width`` random moves (the K > 1 chain path).
-
-    Same move mix and per-kind distributions as :func:`_sample_move`, with
-    one batched RNG call per kind instead of one Python call per move.
-    Distinct swap endpoints come from the shifted-second-draw trick
-    (``b >= a`` bumps b by one), which is exactly uniform over ordered
-    distinct pairs.  Width 1 keeps :func:`_sample_move` so ``batch_k=1``
-    stays stream-identical to the reference oracle.
-    """
-    num_tracks = state.num_tracks
-    num_shields = state.num_shields
-    shield_array = np.asarray(state.shield_array(), dtype=np.int64)
-    kinds = rng.random(width)
-    swap_mask = (kinds < 0.4) & (num_tracks >= 2)
-    relocate_mask = ~swap_mask & (kinds < 0.6) & (num_shields > 0)
-    delete_mask = ~swap_mask & ~relocate_mask & (kinds < 0.8) & (num_shields > 0)
-    insert_mask = ~(swap_mask | relocate_mask | delete_mask)
-    moves: List[Optional[Move]] = [None] * width
-
-    slots = np.nonzero(swap_mask)[0]
-    if slots.size:
-        first = rng.integers(0, num_tracks, size=slots.size)
-        second = rng.integers(0, num_tracks - 1, size=slots.size)
-        second += second >= first
-        for slot, a, b in zip(slots.tolist(), first.tolist(), second.tolist()):
-            moves[slot] = Move.swap(a, b)
-    slots = np.nonzero(relocate_mask)[0]
-    if slots.size:
-        tracks = shield_array[rng.integers(0, num_shields, size=slots.size)]
-        gaps = rng.integers(0, num_tracks, size=slots.size)
-        for slot, track, gap in zip(slots.tolist(), tracks.tolist(), gaps.tolist()):
-            moves[slot] = Move.relocate(track, gap)
-    slots = np.nonzero(delete_mask)[0]
-    if slots.size:
-        tracks = shield_array[rng.integers(0, num_shields, size=slots.size)]
-        for slot, track in zip(slots.tolist(), tracks.tolist()):
-            moves[slot] = Move.delete(track)
-    slots = np.nonzero(insert_mask)[0]
-    if slots.size:
-        gaps = rng.integers(0, num_tracks + 1, size=slots.size)
-        for slot, gap in zip(slots.tolist(), gaps.tolist()):
-            moves[slot] = Move.insert(gap)
-    return moves  # type: ignore[return-value]
-
-
 def _compact_gain_bound(state: IncrementalPanelState, config: AnnealConfig) -> float:
     """Upper bound on how much cost :meth:`SinoSolution.compact` can recover.
 
@@ -268,7 +200,7 @@ def _compact_gain_bound(state: IncrementalPanelState, config: AnnealConfig) -> f
 
 
 class _BestTracker:
-    """Best / best-valid bookkeeping shared by the chain loop and endgame.
+    """Best / best-valid bookkeeping of the chain loop.
 
     Mirrors the reference oracle's tracking with one shortcut: a state is
     only compacted when it is valid or when the compaction bound says it
@@ -308,244 +240,6 @@ class _BestTracker:
         return self.best_valid if self.best_valid is not None else self.best
 
 
-# -- the K > 1 endgame --------------------------------------------------------
-
-
-#: Fraction of the eval budget reserved for the endgame (1/this) at K > 1.
-_ENDGAME_FRACTION = 4
-#: Per-sweep cap on batched neighbourhood scoring, keeping single endgame
-#: calls bounded on the largest panels.
-_MAX_SWEEP = 256
-#: Annealed-recovery budget after each forced shield delete.
-_RECOVERY_EVALS = 96
-#: Recovery temperature schedule (geometric, start to end).
-_RECOVERY_SCHEDULE = (1.5, 0.05)
-#: Seed-sequence tags of the endgame's isolated RNG sub-streams.  The tags
-#: are part of the pinned tuning: the registry quality gate holds
-#: seed-for-seed, so the streams are chosen (and kept apart from the main
-#: chain's) such that every registry panel meets the reference oracle.
-_RECOVER_STREAM = 5
-_RESTART_STREAM = 2
-#: Zero-shield restarts only arm on layouts at most this many tracks wide —
-#: random-restart descent stops paying beyond small panels.
-_RESTART_TRACKS_MAX = 20
-#: Zero-shield restart budget: this many evals per (tracks + 1)^2.
-_RESTART_BUDGET_FACTOR = 32
-#: Random restarts probed before the far-from-validity abandon check may
-#: fire — a single unlucky permutation lands far from the basin on panels a
-#: later restart still cracks.
-_RESTART_MIN_PROBES = 2
-
-
-def _neighborhood_moves(state: IncrementalPanelState) -> List[Move]:
-    """Every distinct single move except shield inserts, deletes first."""
-    occupancy = state._current.occ
-    tracks = occupancy.size
-    shields = state.shield_tracks()
-    moves = [Move.delete(track) for track in shields]
-    for a in range(tracks):
-        for b in range(a + 1, tracks):
-            if occupancy[a] < 0 and occupancy[b] < 0:
-                continue  # shield-shield swaps are no-ops
-            moves.append(Move.swap(a, b))
-    for track in shields:
-        for gap in range(tracks):
-            moves.append(Move.relocate(track, gap))
-    return moves
-
-
-def _descend(
-    state: IncrementalPanelState,
-    evaluator: BatchedMoveEvaluator,
-    budget: int,
-    tracker: _BestTracker,
-) -> int:
-    """Batched steepest descent over the insert-free neighbourhood."""
-    used = 0
-    while used < budget:
-        moves = _neighborhood_moves(state)
-        if not moves:
-            break
-        moves = moves[: min(budget - used, _MAX_SWEEP)]
-        deltas = evaluator.score(moves)
-        used += len(moves)
-        choice = min(range(len(moves)), key=deltas.__getitem__)
-        if deltas[choice] >= 0.0:
-            break
-        state.propose(moves[choice])
-        cost = state.commit()
-        evaluator.refresh()
-        tracker.observe(state, cost)
-    return used
-
-
-def _sample_move_no_insert(state: IncrementalPanelState, rng: np.random.Generator) -> Move:
-    while True:
-        move = _sample_move(state, rng)
-        if move.kind != "insert":
-            return move
-
-
-def _recover(
-    state: IncrementalPanelState,
-    evaluator: BatchedMoveEvaluator,
-    rng: np.random.Generator,
-    budget: int,
-    batch_k: int,
-    tracker: _BestTracker,
-) -> int:
-    """Short insert-free anneal after a forced shield delete.
-
-    The deleted shield usually leaves a violation; pure descent fixes the
-    easy cases, but crossing a small cost barrier (reorder two segments)
-    needs a few Metropolis steps at a low temperature.  Inserts stay
-    excluded so the recovery cannot simply put the shield back.
-    """
-    start, end = _RECOVERY_SCHEDULE
-    evals = 0
-    while evals < budget:
-        width = min(batch_k, budget - evals)
-        temperature = start * (end / start) ** (evals / budget)
-        moves = [_sample_move_no_insert(state, rng) for _ in range(width)]
-        deltas = evaluator.score(moves)
-        choice = min(range(width), key=deltas.__getitem__)
-        delta = deltas[choice]
-        evals += width
-        if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-            state.propose(moves[choice])
-            cost = state.commit()
-            evaluator.refresh()
-            tracker.observe(state, cost)
-    return evals
-
-
-def _zero_shield_restarts(
-    problem: SinoProblem,
-    config: AnnealConfig,
-    rng: np.random.Generator,
-    tracker: _BestTracker,
-    base: SinoSolution,
-) -> int:
-    """Hunt a shield-free permutation by restarted swap-only descent.
-
-    Arms when the incumbent is a single shield on a small panel — the one
-    regime where a zero-shield ordering is plausibly reachable but sits in
-    a different basin than the chain's local optimum (single-swap kicks
-    fall straight back; full random restarts cross).  Restarts stop early
-    when the closest local optimum stays far from validity, which is the
-    signature of a panel that structurally needs its shield.
-    """
-    segments = [segment for segment in base.layout if segment is not None]
-    n = len(segments)
-    if n < 2:
-        return 0
-    budget = _RESTART_BUDGET_FACTOR * (n + 1) * (n + 1)
-    abandon_above = 2.0 * config.shield_weight
-    moves = [Move.swap(a, b) for a in range(n) for b in range(a + 1, n)]
-    used = 0
-    first = True
-    probes = 0
-    closest = math.inf
-    while used < budget:
-        if first:
-            order = list(segments)  # the incumbent's own ordering first
-        else:
-            order = [segments[i] for i in rng.permutation(n)]
-        state = IncrementalPanelState(problem, order, config)
-        evaluator = BatchedMoveEvaluator(state)
-        while used < budget:
-            batch = moves[: budget - used]
-            deltas = evaluator.score(batch)
-            used += len(batch)
-            choice = min(range(len(batch)), key=deltas.__getitem__)
-            if deltas[choice] >= 0.0:
-                break
-            state.propose(batch[choice])
-            cost = state.commit()
-            evaluator.refresh()
-            tracker.observe(state, cost)
-        tracker.observe(state, state.cost)
-        if state.is_current_valid():
-            return used
-        closest = min(closest, state.cost)
-        if not first:
-            probes += 1
-        if probes >= _RESTART_MIN_PROBES and closest > abandon_above:
-            return used
-        first = False
-    return used
-
-
-def _endgame(
-    problem: SinoProblem,
-    config: AnnealConfig,
-    tracker: _BestTracker,
-    budget: int,
-) -> int:
-    """Spend the reserved evals sharpening the incumbent.
-
-    Three stages, all scored through the batched evaluator: a steepest-
-    descent polish of the incumbent; shield-elimination rounds (force the
-    cheapest delete, recover, descend — repeat while the shield count
-    drops); and the gated zero-shield restart hunt.
-
-    Each stochastic stage draws from its own deterministically seeded
-    sub-stream, so tuning one stage never reshuffles another's draws (the
-    registry quality gate pins seed-exact outcomes).
-    """
-    recover_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _RECOVER_STREAM)))
-    restart_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _RESTART_STREAM)))
-    used = 0
-    start = tracker.best_valid if tracker.best_valid is not None else tracker.best
-    state = IncrementalPanelState(problem, list(start.layout), config)
-    evaluator = BatchedMoveEvaluator(state)
-    # The polish is capped at a third of the reserve: one sweep over a
-    # converged incumbent costs a full neighbourhood, and the elimination
-    # rounds below need guaranteed room for at least one delete attempt.
-    used += _descend(state, evaluator, min(budget - used, budget // 3), tracker)
-    tracker.observe(state, state.cost)
-    while used < budget:
-        base = tracker.best_valid
-        if base is None or base.num_shields == 0:
-            break
-        incumbent_shields = base.num_shields
-        state = IncrementalPanelState(problem, list(base.layout), config)
-        evaluator = BatchedMoveEvaluator(state)
-        deletes = [Move.delete(track) for track in state.shield_tracks()]
-        deltas = evaluator.score(deletes)
-        used += len(deletes)
-        improved = False
-        for index in sorted(range(len(deletes)), key=deltas.__getitem__):
-            if used >= budget:
-                break
-            trial = state.clone()
-            trial_evaluator = BatchedMoveEvaluator(trial)
-            trial.propose(deletes[index])
-            trial.commit()
-            trial_evaluator.refresh()
-            used += _recover(
-                trial,
-                trial_evaluator,
-                recover_rng,
-                min(budget - used, _RECOVERY_EVALS),
-                config.batch_k,
-                tracker,
-            )
-            used += _descend(trial, trial_evaluator, budget - used, tracker)
-            tracker.observe(trial, trial.cost)
-            if tracker.best_valid is not None and (
-                tracker.best_valid.num_shields < incumbent_shields
-            ):
-                improved = True
-                break
-        if not improved:
-            break
-    base = tracker.best_valid
-    if base is not None and base.num_shields == 1 and len(base.layout) <= _RESTART_TRACKS_MAX:
-        used += _zero_shield_restarts(problem, config, restart_rng, tracker, base)
-    return used
-
-
 def anneal_sino(
     problem: SinoProblem,
     initial: Optional[SinoSolution] = None,
@@ -557,81 +251,42 @@ def anneal_sino(
     If no feasible layout is ever seen, the lowest-cost layout is returned
     instead (the caller can check ``is_valid``).
 
-    The chain groups candidate evaluations into temperature steps of width
-    ``config.batch_k`` and puts the best candidate of each step through the
-    Metropolis accept/reject at the temperature of the step's first
-    evaluation.  Every proposal is an incremental delta against the current
-    layout (:class:`~repro.sino.incremental.IncrementalPanelState`), and an
-    accepted layout is only compacted when a cheap bound says compaction
-    could beat the incumbent.
+    Every step proposes one sampled move as an incremental delta against
+    the current layout (:class:`~repro.sino.incremental.IncrementalPanelState`)
+    and puts it through the Metropolis accept/reject; an accepted layout is
+    only compacted when a cheap bound says compaction could beat the
+    incumbent.  The result is bit-identical seed-for-seed to
+    :func:`anneal_sino_reference`.
 
-    * ``batch_k=1`` proposes one sampled move per step through the state's
-      own propose/commit/revert protocol and has no endgame — bit-identical
-      seed-for-seed to :func:`anneal_sino_reference`.  No
-      :class:`~repro.sino.batched.BatchedMoveEvaluator` is built: scoring a
-      single candidate through it costs more than it saves.
-    * ``batch_k > 1`` scores K moves per step in one vectorised pass.
-      Best-of-K sharpens descent but starves uphill exploration, so a
-      quarter of the eval budget is reserved for :func:`_endgame`: a
-      steepest-descent polish, forced shield-delete rounds with short
-      insert-free recovery anneals, and — on small panels whose incumbent
-      is a single shield — a bounded zero-shield restart hunt.  The
-      registry quality gate (never worse than the reference oracle on every
-      panel scenario) is pinned by the test suite and CI.
-
-    Every chain runs under an ``anneal.chain`` span carrying ``batch_k``,
-    ``steps``, ``evals``, ``accepts`` and ``endgame_evals`` (0 at width 1).
+    Every chain runs under an ``anneal.chain`` span carrying ``steps`` and
+    ``accepts``.
 
     ``state`` optionally supplies a prebuilt panel state over the initial
     layout (the multi-chain fan-out builds one and clones it per chain); the
     caller guarantees it matches ``initial``.
     """
     config = config or AnnealConfig()
-    batch_k = config.batch_k
     rng = np.random.default_rng(config.seed)
     current = (initial or greedy_sino(problem)).copy()
     if state is None:
         state = IncrementalPanelState(problem, current.layout, config)
     tracker = _BestTracker(config, current)
-    evaluator = BatchedMoveEvaluator(state) if batch_k > 1 else None
-    reserve = config.iterations // _ENDGAME_FRACTION if batch_k > 1 else 0
-    chain_budget = config.iterations - reserve
 
-    registry = process_registry()
     started = time.perf_counter()
-    evals = 0
-    steps = 0
     accepts = 0
-    with maybe_span(active_tracer(), "anneal.chain", batch_k=batch_k) as span:
-        while evals < chain_budget:
-            temperature = config.temperature_at(evals)
-            if evaluator is None:
-                width = 1
-                move = _sample_move(state, rng)
-            else:
-                width = min(batch_k, chain_budget - evals)
-                moves = _sample_moves(state, rng, width)
-                deltas = evaluator.score(moves)
-                move = moves[min(range(width), key=deltas.__getitem__)]
-            # At K > 1 score() memoised the winner, so this propose is a
-            # cache hit returning exactly the scored delta.
-            delta = state.propose(move)
-            evals += width
-            steps += 1
+    with maybe_span(active_tracer(), "anneal.chain") as span:
+        for step in range(config.iterations):
+            temperature = config.temperature_at(step)
+            delta = state.propose(_sample_move(state, rng))
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                current_cost = state.commit()
-                if evaluator is not None:
-                    evaluator.refresh()
                 accepts += 1
-                tracker.observe(state, current_cost)
+                tracker.observe(state, state.commit())
             else:
                 state.revert()
-        endgame_evals = _endgame(problem, config, tracker, reserve) if reserve else 0
-        evals += endgame_evals
         if span is not None:
-            span.add(steps=steps, evals=evals, accepts=accepts, endgame_evals=endgame_evals)
-    registry.counter("anneal.steps").inc(steps)
-    registry.counter("anneal.batch_evals").inc(evals)
+            span.add(steps=config.iterations, accepts=accepts)
+    registry = process_registry()
+    registry.counter("anneal.steps").inc(config.iterations)
     registry.counter("anneal.seconds").inc(time.perf_counter() - started)
     return tracker.result
 
@@ -773,18 +428,10 @@ def reduce_best_feasible(
 
 
 def _chain_config(template: AnnealConfig, seed: int) -> AnnealConfig:
-    """``template`` with only the seed swapped, skipping re-validation.
-
-    ``dataclasses.replace`` re-runs ``__init__`` (and ``__post_init__``
-    validation) per call; the fan-out derives one config per chain from an
-    already-validated template, so a field-level copy keeps chain setup O(1)
-    per chain.
-    """
+    """``template`` with only the seed swapped (itself for its own seed)."""
     if seed == template.seed:
         return template
-    derived = copy.copy(template)
-    object.__setattr__(derived, "seed", seed)
-    return derived
+    return replace(template, seed=seed)
 
 
 def _run_chains(
@@ -876,7 +523,6 @@ def anneal_sino_multichain(
     (duck-typed to avoid a layering cycle — the engine imports this module);
     ``None`` runs the chains inline.  The result is identical for every
     backend, and ``chains=1`` reproduces :func:`anneal_sino` exactly.
-    Every chain runs :func:`anneal_sino` at ``config.batch_k``.
     """
     config = config or AnnealConfig()
     return reduce_best_feasible(_run_chains(problem, initial, config, backend), config)
@@ -897,8 +543,7 @@ def solve_min_area_sino(
     * ``"anneal"`` — greedy construction followed by simulated annealing
       (slower, closer to minimum area; used when fitting Formula 3 and in the
       single-region studies).  ``config.chains > 1`` runs that many
-      independent chains and keeps the best feasible result, and
-      ``config.batch_k`` sets each chain's width (:func:`anneal_sino`),
+      independent chains and keeps the best feasible result,
     * ``"portfolio"`` — the greedy solution plus ``config.chains`` annealing
       chains, reduced with :func:`reduce_best_feasible` (never worse than
       greedy, usually as good as the best chain).

@@ -300,11 +300,6 @@ class IncrementalPanelState:
         return self._state.cost
 
     @property
-    def num_segments(self) -> int:
-        """Number of net segments in the layout."""
-        return int(self._current.pos.size)
-
-    @property
     def num_shields(self) -> int:
         """Number of shield tracks in the current layout."""
         return int(self._current.shields.size)
@@ -321,11 +316,6 @@ class IncrementalPanelState:
         if capacity <= 0:
             return 0
         return max(0, self.num_tracks - capacity)
-
-    @property
-    def capacitive_count(self) -> int:
-        """Adjacent sensitive pairs in the current layout."""
-        return self._state.capacitive
 
     def is_current_valid(self) -> bool:
         """True when the current layout satisfies both SINO constraints."""

@@ -1,30 +1,30 @@
-"""Tests of the annealer's batch width and its shared-memory fan-out.
+"""Tests of the annealer's chain loop and its shared-memory fan-out.
 
-Covers the four contracts the one chain loop makes across its widths:
+Covers the contracts the one chain loop makes:
 
-* the vectorised evaluator scores every move with *exactly* the delta the
-  scalar ``propose()`` path computes (property test over random walks);
-* ``batch_k=1`` reproduces the scalar reference oracle bit-for-bit;
-* the registry quality gate — the K = 8 chain's final cost meets the
-  scalar reference oracle on every panel of every registered panel
-  scenario, seed for seed;
+* every chain reproduces the scalar reference oracle bit-for-bit;
+* per-chain seeds and configs are derived deterministically, and in-process
+  chains share one evaluation memo;
 * multi-chain fan-out over a non-shared-memory backend ships panel states
   through shared memory (zero pickled matrices), with backend-independent
-  results and no leaked ``/dev/shm`` segments.
+  results and no leaked ``/dev/shm`` segments;
+* the retired best-of-K width is rejected everywhere it used to be accepted.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.engine.backends import ProcessBackend, SerialBackend
 from repro.obs.trace import Tracer, set_active_tracer
-from repro.service.scenarios import generate_scenario, list_scenarios, scenario_kind
+from repro.service import submit_job
+from repro.service.scenarios import generate_scenario
 from repro.sino.anneal import (
     AnnealConfig,
     _chain_config,
@@ -35,114 +35,51 @@ from repro.sino.anneal import (
     anneal_sino_reference,
     derive_chain_seed,
     reduce_best_feasible,
-    solution_cost,
     solve_min_area_sino,
 )
 from repro.sino.greedy import greedy_sino
-from repro.sino.batched import BatchedMoveEvaluator
 from repro.sino.incremental import IncrementalPanelState
 from repro.sino.panel import SinoProblem
-from repro.tech.itrs import ITRS_70NM, ITRS_100NM, ITRS_130NM
 
 from tests.conftest import make_random_sino_problem
 
-PANEL_SCENARIOS = [name for name, _ in list_scenarios() if scenario_kind(name) == "panels"]
 
-
-def _scenario_config(task) -> AnnealConfig:
-    """The quality gate's schedule for one scenario task.
-
-    The solver's default 1500-evaluation schedule at the task's seed — the
-    schedule this gate has always pinned.  It deliberately ignores the
-    scenario's own short service schedule (``task.anneal``): at 375 moves
-    the K = 8 endgame budget is too small to meet the oracle everywhere
-    (``dense-bus`` seed 2007 keeps one extra shield).
-    """
-    return AnnealConfig(seed=task.seed)
-
-
-class TestBatchedEvaluatorProperty:
-    """Vectorised deltas equal scalar ``propose()`` deltas, exactly."""
-
-    @pytest.mark.parametrize(
-        "technology", [ITRS_100NM, ITRS_130NM, ITRS_70NM], ids=lambda t: t.name
-    )
-    @pytest.mark.parametrize("width", [1, 4, 16])
-    def test_batched_deltas_match_scalar_proposals(self, technology, width):
-        # Node-scaled bounds mirror how the scenario registry tightens Kth
-        # with Vdd; each node exercises a different shield-pressure regime.
-        kth = 0.9 * technology.vdd / ITRS_100NM.vdd
-        problem = make_random_sino_problem(9, 0.5, kth, seed=29)
-        config = AnnealConfig(seed=17)
-        layout = list(greedy_sino(problem).layout)
-        # Two independent states (separate evaluation memos), walked in
-        # lockstep: a shared memo would let cache hits mask a scoring bug.
-        scored = IncrementalPanelState(problem, list(layout), config)
-        proposed = IncrementalPanelState(problem, list(layout), config)
-        evaluator = BatchedMoveEvaluator(scored)
-        rng = np.random.default_rng(23)
-        total = 0
-        while total < 500:
-            moves = [_sample_move(proposed, rng) for _ in range(width)]
-            batched = evaluator.score(moves)
-            scalar = []
-            for move in moves:
-                scalar.append(proposed.propose(move))
-                proposed.revert()
-            assert batched == scalar  # exact float equality, not approx
-            total += len(moves)
-            # Commit the best candidate on both states so the walk visits
-            # layouts the greedy seed never produces.
-            best = min(range(len(moves)), key=batched.__getitem__)
-            if batched[best] < 0.0:
-                scored.propose(moves[best])
-                scored.commit()
-                evaluator.refresh()
-                proposed.propose(moves[best])
-                proposed.commit()
-
-
-class TestWidthOneIdentity:
-    """``batch_k=1`` is the scalar reference annealer, bit for bit.
+class TestReferenceIdentity:
+    """The chain is the scalar reference annealer, bit for bit.
 
     The reference-equivalence check of ``test_sino_incremental`` on wider
-    ten-segment panels, with the width set explicitly.
+    ten-segment panels.
     """
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 2002])
-    def test_batch_k_one_matches_scalar_annealer(self, seed):
+    def test_chain_matches_reference_annealer(self, seed):
         problem = make_random_sino_problem(10, 0.5, 0.85, seed=seed)
-        config = AnnealConfig(iterations=600, seed=seed, batch_k=1)
+        config = AnnealConfig(iterations=600, seed=seed)
         reference = anneal_sino_reference(problem, config=config)
         assert anneal_sino(problem, config=config).layout == reference.layout
 
-    def test_default_width_is_documented_eight(self):
-        # Width 1 is the reference-identical chain, so default
-        # ``effort="anneal"`` layouts stay the reference's.
-        assert AnnealConfig().batch_k == 1
 
-    def test_batch_k_validation(self):
-        with pytest.raises(ValueError):
-            AnnealConfig(batch_k=0)
+class TestRetiredBestOfKWidth:
+    """The best-of-K width knob is gone from every surface that took it."""
 
+    def test_anneal_config_has_no_width_field(self):
+        with pytest.raises(TypeError):
+            AnnealConfig(batch_k=8)
 
-class TestRegistryQualityGate:
-    """The K = 8 chain meets the reference oracle on every registry panel."""
+    def test_compare_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--scale", "0.01", "--effort", "anneal", "--batch-k", "8"])
+        assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("name", PANEL_SCENARIOS)
-    def test_batched_cost_meets_reference_oracle(self, name):
-        assert PANEL_SCENARIOS, "scenario registry lost its panel scenarios"
-        for task in generate_scenario(name):
-            config = _scenario_config(task)
-            reference = solution_cost(anneal_sino_reference(task.problem, config=config), config)
-            batched = solution_cost(
-                anneal_sino(task.problem, config=replace(config, batch_k=8)),
-                config,
-            )
-            assert batched <= reference + 1e-9, (
-                f"{name}/seed={config.seed}: batched cost {batched} worse "
-                f"than the reference oracle {reference}"
-            )
+    def test_scenario_parameter_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown"):
+            generate_scenario("dense-bus", {"batch_k": 8})
+
+    def test_submit_rejects_before_writing_a_record(self, tmp_path):
+        root = tmp_path / "svc"
+        with pytest.raises(ValueError, match="unknown"):
+            submit_job(root, "dense-bus", params={"batch_k": 8})
+        assert not root.exists() or not any(root.rglob("*.json"))
 
 
 class TestChainSeedDerivation:
@@ -164,7 +101,7 @@ class TestChainSeedDerivation:
 
 class TestChainConfigDerivation:
     def test_chain_config_swaps_only_the_seed(self):
-        template = AnnealConfig(iterations=700, seed=5, chains=1, batch_k=4)
+        template = AnnealConfig(iterations=700, seed=5, chains=3)
         derived = _chain_config(template, 999)
         assert derived.seed == 999
         for config_field in fields(AnnealConfig):
@@ -175,24 +112,6 @@ class TestChainConfigDerivation:
     def test_chain_config_is_identity_for_the_template_seed(self):
         template = AnnealConfig(seed=5)
         assert _chain_config(template, 5) is template
-
-    def test_fanout_validates_once_for_any_chain_count(self, monkeypatch):
-        calls = []
-        original = AnnealConfig.__post_init__
-
-        def counting(self):
-            calls.append(1)
-            original(self)
-
-        monkeypatch.setattr(AnnealConfig, "__post_init__", counting)
-        problem = make_random_sino_problem(7, 0.5, 0.9, seed=3)
-        config = AnnealConfig(iterations=120, seed=9, chains=6)
-        calls.clear()
-        solution = anneal_sino_multichain(problem, config=config)
-        # One validation for the chains=1 template; the six per-chain
-        # configs are derived by field copy, not reconstruction.
-        assert sum(calls) == 1
-        assert solution.num_shields >= 0
 
 
 class TestCloneSharesEvalMemo:
@@ -269,7 +188,7 @@ class TestSharedMemoryFanOut:
 
     def test_non_shared_backend_pickles_no_panel_matrices(self):
         problem = self._chain_problem()
-        config = AnnealConfig(iterations=300, seed=4, chains=4, batch_k=8)
+        config = AnnealConfig(iterations=300, seed=4, chains=4)
         backend = _PickleScanBackend()
         fanned = anneal_sino_multichain(problem, config=config, backend=backend)
         serial = anneal_sino_multichain(problem, config=config)
@@ -282,7 +201,7 @@ class TestSharedMemoryFanOut:
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="platform has no /dev/shm")
     def test_process_backend_matches_serial_and_leaks_no_segments(self):
         problem = self._chain_problem()
-        config = AnnealConfig(iterations=300, seed=4, chains=4, batch_k=8)
+        config = AnnealConfig(iterations=300, seed=4, chains=4)
         before = set(os.listdir("/dev/shm"))
         with ProcessBackend(workers=2) as backend:
             fanned = anneal_sino_multichain(problem, config=config, backend=backend)
@@ -293,34 +212,22 @@ class TestSharedMemoryFanOut:
 
     def test_run_chains_matches_across_backends(self):
         problem = self._chain_problem()
-        config = AnnealConfig(iterations=200, seed=11, chains=3, batch_k=8)
+        config = AnnealConfig(iterations=200, seed=11, chains=3)
         inline = _run_chains(problem, None, config, None)
         scanned = _run_chains(problem, None, config, _PickleScanBackend())
         assert [s.layout for s in inline] == [s.layout for s in scanned]
 
 
 class TestEffortDispatch:
-    def test_anneal_effort_honours_batch_k(self):
+    def test_anneal_and_portfolio_efforts_dispatch_to_the_chain(self):
         problem = make_random_sino_problem(9, 0.5, 0.85, seed=6)
-        config = AnnealConfig(iterations=400, seed=6, batch_k=8)
+        config = AnnealConfig(iterations=400, seed=6)
         via_effort = solve_min_area_sino(problem, effort="anneal", config=config)
         assert via_effort.layout == anneal_sino(problem, config=config).layout
         assert via_effort.is_valid()
         portfolio = solve_min_area_sino(problem, effort="portfolio", config=config)
         candidates = [greedy_sino(problem), via_effort]
         assert portfolio.layout == reduce_best_feasible(candidates, config).layout
-        # The width must change the search, not just the cache key: on the
-        # registry's annealing panels K = 8 and K = 1 part ways somewhere.
-        differs = 0
-        for task in generate_scenario("dense-bus"):
-            wide = replace(task.anneal, seed=task.seed, batch_k=8)
-            via_effort = solve_min_area_sino(task.problem, effort="anneal", config=wide)
-            assert via_effort.layout == anneal_sino(task.problem, config=wide).layout
-            narrow = solve_min_area_sino(
-                task.problem, effort="anneal", config=replace(wide, batch_k=1)
-            )
-            differs += via_effort.layout != narrow.layout
-        assert differs > 0
 
 
 class TestChainTracing:
@@ -330,13 +237,12 @@ class TestChainTracing:
         set_active_tracer(tracer)
         try:
             anneal_sino_multichain(
-                problem, config=AnnealConfig(iterations=200, seed=2, chains=2, batch_k=8)
+                problem, config=AnnealConfig(iterations=200, seed=2, chains=2)
             )
             anneal_sino(problem, config=AnnealConfig(iterations=200, seed=2))
         finally:
             set_active_tracer(None)
         report = tracer.format_report()
         assert report.count("anneal.chain") == 3
-        assert "evals=" in report and "batch_k=" in report
-        # Every width reports its endgame share, zero at width 1.
-        assert report.count("endgame_evals=") == 3
+        assert report.count("steps=") == 3
+        assert report.count("accepts=") == 3
